@@ -140,7 +140,6 @@ def _policy(settings: Settings) -> DispersalPolicy:
         share_count=settings.share_count,
         chunk_count=settings.chunks,
         block_size=settings.block,
-        parity=settings.parity,
         token_rounds=settings.rounds,
         audit_rows=settings.audit_rows,
         he_bits=settings.he_bits,

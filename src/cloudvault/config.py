@@ -15,7 +15,6 @@ separated. Example::
     share_count = 5        # shares issued per chunk
     chunks = 4             # dispersal slots per object
     block = 64             # cut granularity in bytes
-    parity = 2             # redundancy columns per chunk
     rounds = 16            # precomputed audit rounds
     audit_rows = 16        # rows sampled per audit round
     he_bits = 256          # homomorphic modulus size
@@ -81,7 +80,6 @@ _KNOWN_KEYS = {
     "share_count",
     "chunks",
     "block",
-    "parity",
     "rounds",
     "audit_rows",
     "he_bits",
@@ -116,7 +114,6 @@ class Settings:
     share_count: int | None = None
     chunks: int | None = None
     block: int = 4096
-    parity: int = 2
     rounds: int = 16
     audit_rows: int = 16
     he_bits: int = 256
@@ -202,7 +199,6 @@ def settings_from_text(text: str) -> Settings:
     s.share_count = geti("share_count", None)
     s.chunks = geti("chunks", None)
     s.block = geti("block", s.block)
-    s.parity = geti("parity", s.parity)
     s.rounds = geti("rounds", s.rounds)
     s.audit_rows = geti("audit_rows", s.audit_rows)
     s.he_bits = geti("he_bits", s.he_bits)

@@ -9,15 +9,14 @@ possible. The search is a dynamic program over (block position, chunks used)
 with max-min composition and is exact: it returns the same objective as
 brute-force enumeration of every admissible split.
 
-Distribution planning scatters the chunks round-robin over a seed-shuffled
-node order and draws the true chunk sequence as a uniform random permutation.
+The chunks are then scattered into storage slots by a uniform random
+permutation (``draw_permutation``, ``scatter``; ``reassemble`` inverts it).
 The permutation never leaves the local machine; an attacker who captures the
 full storage set still faces all chunk_count! orderings.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 import random
 from dataclasses import dataclass
@@ -37,10 +36,6 @@ class EmptyInput(EntropySplitError):
 
 class InfeasibleSplit(EntropySplitError):
     """Requested chunk count cannot be cut from the file at this granularity."""
-
-
-class NoNodes(EntropySplitError):
-    """Distribution planning needs at least one storage node."""
 
 
 DEFAULT_BLOCK_SIZE = 4096
@@ -80,11 +75,6 @@ def relative_entropy(file_dist: ByteDistribution, chunk_dist: ByteDistribution) 
     return sum(p * math.log(p / q) for p, q in zip(pf, pc))
 
 
-class SplitMode(enum.Enum):
-    ENTROPY_DP = "entropy-dp"
-    FIXED_SIZE = "fixed-size"
-
-
 @dataclass(frozen=True)
 class SplitPlan:
     """Where to cut, how many chunks, and the achieved max-min divergence."""
@@ -92,7 +82,6 @@ class SplitPlan:
     cut_points: tuple[int, ...]
     chunk_count: int
     objective: float
-    mode: SplitMode
 
     def chunks(self, data: bytes) -> list[bytes]:
         """Cut ``data`` per the plan. Chunks cover the input exactly."""
@@ -161,7 +150,7 @@ def plan_split(data: bytes, chunk_count: int, block_size: int = DEFAULT_BLOCK_SI
         raise InfeasibleSplit("chunk count must be at least 1")
     if chunk_count == 1:
         dist = ByteDistribution.from_bytes(data)
-        return SplitPlan((), 1, relative_entropy(dist, dist), SplitMode.ENTROPY_DP)
+        return SplitPlan((), 1, relative_entropy(dist, dist))
     if chunk_count * block_size > len(data):
         raise InfeasibleSplit(
             f"{chunk_count} chunks at block size {block_size} need "
@@ -197,75 +186,13 @@ def plan_split(data: bytes, chunk_count: int, block_size: int = DEFAULT_BLOCK_SI
         cuts_blocks.append(b)
     cuts_blocks.reverse()
     cut_points = tuple(bounds[i] for i in cuts_blocks)
-    return SplitPlan(cut_points, chunk_count, dp[chunk_count][nb], SplitMode.ENTROPY_DP)
-
-
-def plan_fixed(data: bytes, chunk_count: int) -> SplitPlan:
-    """Equal-size split with no content awareness (degenerate mode).
-
-    The first ``len(data) % chunk_count`` chunks take the extra byte. The
-    objective is still reported as the min per-chunk divergence so the two
-    modes are comparable in reports.
-    """
-    if not data:
-        raise EmptyInput("empty input")
-    if not 1 <= chunk_count <= len(data):
-        raise InfeasibleSplit(f"cannot cut {len(data)} bytes into {chunk_count} chunks")
-    base, extra = divmod(len(data), chunk_count)
-    cuts = []
-    pos = 0
-    for i in range(chunk_count - 1):
-        pos += base + (1 if i < extra else 0)
-        cuts.append(pos)
-    plan = SplitPlan(tuple(cuts), chunk_count, 0.0, SplitMode.FIXED_SIZE)
-    fdist = ByteDistribution.from_bytes(data)
-    objective = min(
-        relative_entropy(fdist, ByteDistribution.from_bytes(c)) for c in plan.chunks(data)
-    )
-    return SplitPlan(tuple(cuts), chunk_count, objective, SplitMode.FIXED_SIZE)
-
-
-@dataclass(frozen=True)
-class DistributionPlan:
-    """Placement of storage slots onto nodes plus the secret true order.
-
-    ``assignment[slot]`` names the (provider, node) that stores slot
-    ``slot``. ``sequence_permutation[i]`` is the slot holding the i-th chunk
-    of the file in true order; it stays local.
-    """
-
-    assignment: tuple[tuple[str, str], ...]
-    sequence_permutation: tuple[int, ...]
+    return SplitPlan(cut_points, chunk_count, dp[chunk_count][nb])
 
 
 def draw_permutation(rng: random.Random, count: int) -> tuple[int, ...]:
     perm = list(range(count))
     rng.shuffle(perm)
     return tuple(perm)
-
-
-def plan_distribution(
-    plan: SplitPlan,
-    nodes: Sequence[tuple[str, str]],
-    rng: random.Random,
-) -> DistributionPlan:
-    """Assign chunk slots to nodes and draw the sequence secret.
-
-    Nodes are shuffled once with the supplied generator, then slots go
-    round-robin over the shuffled order, so every node's load differs by at
-    most one slot. The permutation is drawn after the shuffle; with the same
-    seed the whole plan is reproducible.
-
-    Raises:
-        NoNodes: empty node list.
-    """
-    if not nodes:
-        raise NoNodes("no storage nodes available")
-    ring = list(nodes)
-    rng.shuffle(ring)
-    assignment = tuple(ring[s % len(ring)] for s in range(plan.chunk_count))
-    perm = draw_permutation(rng, plan.chunk_count)
-    return DistributionPlan(assignment=assignment, sequence_permutation=perm)
 
 
 def scatter(chunks: Sequence[bytes], permutation: Sequence[int]) -> list[bytes]:

@@ -182,32 +182,6 @@ class BinaryField:
 FieldSpec = PrimeField | BinaryField
 
 
-def primitive_element(f: FieldSpec) -> int:
-    """Smallest generator of the multiplicative group.
-
-    Used to pick distinct evaluation points for parity generator matrices.
-    For the binary field this is the table generator; for primes it is found
-    by checking the order of candidates against the factorization of p - 1.
-    """
-    if isinstance(f, BinaryField):
-        return GF256_GENERATOR
-    n = f.p - 1
-    factors = []
-    m, d = n, 2
-    while d * d <= m:
-        if m % d == 0:
-            factors.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        factors.append(m)
-    for g in range(2, f.p):
-        if all(pow(g, n // q, f.p) != 1 for q in factors):
-            return g
-    raise AssertionError("no primitive element found")  # unreachable for prime p > 2
-
-
 def field_tag(f: FieldSpec) -> bytes:
     """Wire tag: 0x00 for GF(2^8), 0x01 plus u16le modulus for primes."""
     if isinstance(f, BinaryField):

@@ -3,8 +3,7 @@
 Ciphertexts live in Z_{n^2}; multiplying two of them adds the underlying
 plaintexts mod n, and raising one to a plaintext power scales it. Those two
 facts give the full supported surface: he_add, he_sub and he_scale.
-Plaintext division has no realization in this scheme and errors out rather
-than silently degrading.
+Plaintext division has no realization in this scheme, so none is offered.
 
 Encryption is probabilistic (a fresh nonce every call), decryption strips
 it. Key generation is deterministic under a seeded generator so tests and
@@ -37,10 +36,6 @@ class HomomorphicError(Exception):
 
 class KeyMismatch(HomomorphicError):
     """Ciphertexts under different keys never combine."""
-
-
-class UnsupportedOperation(HomomorphicError):
-    """The scheme cannot express this computation."""
 
 
 def _is_probable_prime(n: int, rng: random.Random) -> bool:
@@ -215,13 +210,6 @@ def he_scale(c: Ciphertext, scalar: int) -> Ciphertext:
     """Ciphertext of scalar * plaintext (mod n); the scalar stays plain."""
     nsq = c.public.nsquare
     return Ciphertext(value=pow(c.value, scalar % c.public.n, nsq), public=c.public)
-
-
-def he_div(c: Ciphertext, divisor: int) -> Ciphertext:
-    """Unsupported on purpose; see the module docstring."""
-    raise UnsupportedOperation(
-        "division is not additively homomorphic; refusing to approximate it"
-    )
 
 
 def encode_signed(key: PublicKey, value: int) -> int:

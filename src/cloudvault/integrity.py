@@ -1,11 +1,10 @@
-"""Remote-integrity auditing with precomputed tokens over coded columns.
+"""Remote-integrity auditing with precomputed tokens over stored columns.
 
 A payload is reshaped column-major into ``columns`` equal-length vectors of
-field elements and extended with ``parity`` redundancy columns through a
-Vandermonde generator, so up to ``parity`` lost columns are recoverable from
-the rest. Parity columns are blinded with a keyed element stream before they
-leave the machine; without the master key they are indistinguishable from
-noise, while the additive blinding keeps single-column delta updates cheap.
+field elements, one per holder. The router feeds it the concatenated Shamir
+shares of a chunk, so each column is exactly one share: the threshold scheme
+already tolerates share_count - threshold lost or damaged columns, and no
+separate redundancy is stored.
 
 Verification never ships the file anywhere. For each audit round a keyed
 generator derives a handful of row indices and nonzero coefficients; the
@@ -26,8 +25,6 @@ same steps independently):
   blocks concatenated on demand;
 * uniform draws take u32le words from the stream, rejection-sampled to the
   bound;
-* parity blinding of column j walks label b"parity-blind" || u32le(j) under
-  the master key, one element per row;
 * the seed of audit round i is BLAKE2b-256(key=master_key,
   data=b"round-seed" || u64le(i)); the round's stream uses label
   b"challenge" under that seed and draws the distinct row indices first
@@ -38,7 +35,6 @@ same steps independently):
 from __future__ import annotations
 
 import hashlib
-import itertools
 import struct
 from dataclasses import dataclass, field as dc_field
 from typing import Mapping, Sequence
@@ -49,7 +45,6 @@ from .field import (
     decode_elements,
     encode_elements,
     field_tag,
-    primitive_element,
     read_field_tag,
 )
 
@@ -78,10 +73,6 @@ class OutOfRange(IntegrityError):
 
 class NoSuchChallenge(IntegrityError):
     """verify() called for a pair that was never issued (or already settled)."""
-
-
-class RecoveryFailed(IntegrityError):
-    """Too many erasures, or no solvable parity subset."""
 
 
 def _stream_key(key: bytes) -> bytes:
@@ -118,9 +109,6 @@ class KeyedStream:
             if v < limit:
                 return v % bound
 
-    def element(self, f: FieldSpec) -> int:
-        return self.uniform(f.order)
-
     def nonzero_element(self, f: FieldSpec) -> int:
         return 1 + self.uniform(f.order - 1)
 
@@ -135,245 +123,46 @@ class KeyedStream:
 
 @dataclass(frozen=True)
 class EncodedFile:
-    """Stored column view: raw data columns plus blinded parity columns."""
+    """Stored column view: the payload cut column-major into equal columns."""
 
-    data_columns: tuple[tuple[int, ...], ...]
-    parity_columns: tuple[tuple[int, ...], ...]
-    generator: tuple[tuple[int, ...], ...]
+    columns: tuple[tuple[int, ...], ...]
     field: FieldSpec
     column_length: int
-    padding: int
-
-    @property
-    def column_count(self) -> int:
-        return len(self.data_columns) + len(self.parity_columns)
-
-    def stored_columns(self) -> tuple[tuple[int, ...], ...]:
-        """All columns in provider order: data first, then blinded parity."""
-        return self.data_columns + self.parity_columns
 
     def column_bytes(self, index: int) -> bytes:
         """Wire form of one stored column (what a provider holds)."""
-        return encode_elements(self.stored_columns()[index], self.field)
+        return encode_elements(self.columns[index], self.field)
 
 
-def generator_matrix(f: FieldSpec, columns: int, parity: int) -> tuple[tuple[int, ...], ...]:
-    """Vandermonde parity generator: entry [i][j] = g^(i*j), g primitive.
-
-    Column j evaluates the data row polynomial at the point g^j; with a
-    primitive g the points are distinct, which is what makes one or two
-    erasures always solvable.
-    """
-    g = primitive_element(f)
-    points = [f.pow(g, j) for j in range(parity)]
-    return tuple(tuple(f.pow(x, i) for x in points) for i in range(columns))
-
-
-def _blinding_column(master_key: bytes, j: int, rows: int, f: FieldSpec) -> list[int]:
-    stream = KeyedStream(master_key, b"parity-blind" + struct.pack("<I", j))
-    return [stream.element(f) for _ in range(rows)]
-
-
-def encode(
-    payload: bytes,
-    columns: int,
-    parity: int,
-    master_key: bytes,
-    f: FieldSpec = BinaryField(),
-) -> EncodedFile:
-    """Reshape ``payload`` into coded columns ready for dispersal.
+def encode(payload: bytes, columns: int, f: FieldSpec = BinaryField()) -> EncodedFile:
+    """Reshape ``payload`` into ``columns`` stored columns.
 
     The payload is zero-padded to a multiple of ``columns`` elements and
     filled column-major: the first column_length elements are column 0 and
-    so on. Parity column j is the generator combination of the data columns,
-    then blinded row-wise with the keyed stream.
+    so on.
 
     Raises:
-        InvalidShape: empty payload, columns < 1, parity < 0, more total
-            columns than the field has distinct nonzero points, or a payload
-            byte outside a prime field's range.
+        InvalidShape: empty payload, columns < 1, or a payload byte outside
+            a prime field's range.
     """
     if not payload:
         raise InvalidShape("empty payload")
     if columns < 1:
-        raise InvalidShape("need at least one data column")
-    if parity < 0:
-        raise InvalidShape("negative parity count")
-    if columns + parity > f.order - 1:
-        raise InvalidShape(
-            f"{columns}+{parity} columns exceed field capacity {f.order - 1}"
-        )
+        raise InvalidShape("need at least one column")
     elements = list(payload)
     if f.order < 256:
         for e in elements:
             if e >= f.order:
                 raise InvalidShape(f"payload byte {e} outside GF({f.order})")
     col_len = -(-len(elements) // columns)
-    padding = columns * col_len - len(elements)
-    elements.extend([0] * padding)
-    data = tuple(
-        tuple(elements[i * col_len : (i + 1) * col_len]) for i in range(columns)
-    )
-    gen = generator_matrix(f, columns, parity)
-    parity_cols = []
-    for j in range(parity):
-        raw = [0] * col_len
-        for i in range(columns):
-            gij = gen[i][j]
-            col = data[i]
-            for r in range(col_len):
-                raw[r] = f.add(raw[r], f.mul(gij, col[r]))
-        blind = _blinding_column(master_key, j, col_len, f)
-        parity_cols.append(tuple(f.add(raw[r], blind[r]) for r in range(col_len)))
+    elements.extend([0] * (columns * col_len - len(elements)))
     return EncodedFile(
-        data_columns=data,
-        parity_columns=tuple(parity_cols),
-        generator=gen,
+        columns=tuple(
+            tuple(elements[i * col_len : (i + 1) * col_len]) for i in range(columns)
+        ),
         field=f,
         column_length=col_len,
-        padding=padding,
     )
-
-
-def decode(enc: EncodedFile) -> bytes:
-    """Flatten the data columns and strip the padding.
-
-    Data elements came from payload bytes, so they are byte values in any
-    supported field and the original payload comes back exactly.
-    """
-    flat: list[int] = []
-    for col in enc.data_columns:
-        flat.extend(col)
-    if enc.padding:
-        flat = flat[: -enc.padding]
-    return bytes(flat)
-
-
-def unblind_parity(enc: EncodedFile, master_key: bytes) -> tuple[tuple[int, ...], ...]:
-    """Remove the keyed blinding; the result satisfies the parity relation."""
-    f = enc.field
-    out = []
-    for j, col in enumerate(enc.parity_columns):
-        blind = _blinding_column(master_key, j, enc.column_length, f)
-        out.append(tuple(f.sub(v, b) for v, b in zip(col, blind)))
-    return tuple(out)
-
-
-def update_column(
-    enc: EncodedFile, index: int, new_column: Sequence[int]
-) -> EncodedFile:
-    """Replace one data column, adjusting parity by the delta only.
-
-    Blinding is additive, so the stored (blinded) parity shifts by exactly
-    delta * generator and no key is needed. Existing audit tokens refer to
-    the old content and must be re-precomputed by the caller.
-    """
-    if not 0 <= index < len(enc.data_columns):
-        raise OutOfRange(f"no data column {index}")
-    if len(new_column) != enc.column_length:
-        raise InvalidShape("replacement column has the wrong length")
-    f = enc.field
-    for v in new_column:
-        f.check(v)
-    old = enc.data_columns[index]
-    delta = [f.sub(n, o) for n, o in zip(new_column, old)]
-    new_parity = []
-    for j, col in enumerate(enc.parity_columns):
-        gij = enc.generator[index][j]
-        new_parity.append(
-            tuple(f.add(col[r], f.mul(gij, delta[r])) for r in range(enc.column_length))
-        )
-    data = list(enc.data_columns)
-    data[index] = tuple(new_column)
-    return EncodedFile(
-        data_columns=tuple(data),
-        parity_columns=tuple(new_parity),
-        generator=enc.generator,
-        field=enc.field,
-        column_length=enc.column_length,
-        padding=enc.padding,
-    )
-
-
-def _invert_matrix(mat: list[list[int]], f: FieldSpec) -> list[list[int]] | None:
-    n = len(mat)
-    aug = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(mat)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pinv = f.inv(aug[col][col])
-        aug[col] = [f.mul(v, pinv) for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [f.sub(v, f.mul(factor, p)) for v, p in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
-def recover_columns(
-    present: Mapping[int, Sequence[int]],
-    columns: int,
-    parity: int,
-    column_length: int,
-    master_key: bytes,
-    f: FieldSpec = BinaryField(),
-) -> list[tuple[int, ...]]:
-    """Rebuild all data columns from any sufficient surviving subset.
-
-    ``present`` maps global column index (data 0..columns-1, then parity) to
-    the stored elements; parity entries are expected in blinded form exactly
-    as fetched. Each missing data column consumes one surviving parity
-    column; subsets are tried until one yields a solvable system.
-
-    Raises:
-        RecoveryFailed: more erasures than surviving parity columns, or no
-            parity subset gives an invertible system.
-    """
-    gen = generator_matrix(f, columns, parity)
-    missing = [i for i in range(columns) if i not in present]
-    data: dict[int, tuple[int, ...]] = {
-        i: tuple(present[i]) for i in range(columns) if i in present
-    }
-    if not missing:
-        return [data[i] for i in range(columns)]
-
-    unblinded: dict[int, tuple[int, ...]] = {}
-    for j in range(parity):
-        if columns + j in present:
-            blind = _blinding_column(master_key, j, column_length, f)
-            unblinded[j] = tuple(
-                f.sub(v, b) for v, b in zip(present[columns + j], blind)
-            )
-    if len(unblinded) < len(missing):
-        raise RecoveryFailed(
-            f"{len(missing)} columns missing, only {len(unblinded)} parity available"
-        )
-
-    e = len(missing)
-    for subset in itertools.combinations(sorted(unblinded), e):
-        mat = [[gen[i][j] for i in missing] for j in subset]
-        inv = _invert_matrix(mat, f)
-        if inv is None:
-            continue
-        solved: list[list[int]] = [[0] * column_length for _ in missing]
-        for r in range(column_length):
-            rhs = []
-            for j in subset:
-                acc = unblinded[j][r]
-                for i, col in data.items():
-                    acc = f.sub(acc, f.mul(gen[i][j], col[r]))
-                rhs.append(acc)
-            for ii in range(e):
-                acc = 0
-                for jj in range(e):
-                    acc = f.add(acc, f.mul(inv[ii][jj], rhs[jj]))
-                solved[ii][r] = acc
-        for ii, i in enumerate(missing):
-            data[i] = tuple(solved[ii])
-        return [data[i] for i in range(columns)]
-    raise RecoveryFailed("no invertible parity subset for this erasure pattern")
 
 
 def round_seed(master_key: bytes, round_index: int) -> bytes:
@@ -428,7 +217,6 @@ class TokenTable:
     """
 
     tokens: tuple[tuple[int, ...], ...]
-    seeds: tuple[str, ...]
     sample_size: int
     rounds: int
     column_length: int
@@ -489,23 +277,19 @@ def precompute_tokens(
         raise InvalidChallenge(
             f"sample size {sample_size} outside [1, {enc.column_length}]"
         )
-    stored = enc.stored_columns()
     per_round = []
-    seeds = []
     for i in range(rounds):
         rows, coeffs = derive_challenge(
             master_key, i, enc.column_length, sample_size, enc.field
         )
-        seeds.append(round_seed(master_key, i).hex())
         per_round.append(
-            tuple(column_token(col, rows, coeffs, enc.field) for col in stored)
+            tuple(column_token(col, rows, coeffs, enc.field) for col in enc.columns)
         )
     tokens = tuple(
-        tuple(per_round[i][j] for i in range(rounds)) for j in range(len(stored))
+        tuple(per_round[i][j] for i in range(rounds)) for j in range(len(enc.columns))
     )
     return TokenTable(
         tokens=tokens,
-        seeds=tuple(seeds),
         sample_size=sample_size,
         rounds=rounds,
         column_length=enc.column_length,
@@ -613,7 +397,6 @@ def token_table_to_payload(table: TokenTable) -> dict:
     """JSON-safe form for the keystore."""
     return {
         "tokens": [list(col) for col in table.tokens],
-        "seeds": list(table.seeds),
         "sample_size": table.sample_size,
         "rounds": table.rounds,
         "column_length": table.column_length,
@@ -628,7 +411,6 @@ def token_table_from_payload(payload: Mapping) -> TokenTable:
     f, _ = read_field_tag(bytes.fromhex(payload["field"]), 0)
     return TokenTable(
         tokens=tuple(tuple(col) for col in payload["tokens"]),
-        seeds=tuple(payload["seeds"]),
         sample_size=payload["sample_size"],
         rounds=payload["rounds"],
         column_length=payload["column_length"],

@@ -203,8 +203,8 @@ class ManifestRecord:
     """One committed placement: everything get and audit need, no secrets.
 
     ``details`` carries the pipeline-specific payload (cut points, the
-    sequence permutation, share and parity locations with their evaluation
-    points, per-chunk digests, keystore reference ids). Secrets themselves
+    sequence permutation, share locations with their evaluation points,
+    per-chunk digests, keystore reference ids). Secrets themselves
     never appear here; the manifest can be shared for debugging.
     """
 

@@ -6,7 +6,7 @@ owner still needs over it. Those two inputs alone pick the pipeline:
 * top secret data never leaves the machine, whatever operations are asked;
 * unclassified data goes to the single best-ranked provider as-is;
 * secret data at rest is entropy-split, every chunk threshold-shared across
-  providers, parity-extended, and covered by precomputed audit tokens;
+  providers, and every share covered by precomputed audit tokens;
 * secret data still needing arithmetic is stored additively encrypted;
 * the advanced analytics tier is refused outright rather than weakened.
 
@@ -27,7 +27,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, field as dc_field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from . import anonymize, entropy_split, homomorphic, integrity, shamir, simcloud
 from .field import BinaryField
@@ -83,19 +83,6 @@ class Pipeline(enum.Enum):
     SPLIT_SHARE_DISPERSE = "SplitShareDisperse"
     HOMOMORPHIC_STORE = "HomomorphicStore"
     REJECTED = "Rejected"
-
-
-_PROTECTION_RANK = {
-    Pipeline.LOCAL_ONLY: 4,
-    Pipeline.SPLIT_SHARE_DISPERSE: 3,
-    Pipeline.HOMOMORPHIC_STORE: 2,
-    Pipeline.PLAIN_SINGLE_CLOUD: 1,
-}
-
-
-def protection_rank(pipeline: Pipeline) -> int:
-    """Coarse confidentiality ordering; rejection protects nothing (0)."""
-    return _PROTECTION_RANK.get(pipeline, 0)
 
 
 @dataclass(frozen=True)
@@ -161,7 +148,6 @@ class DispersalPolicy:
     share_count: int | None = None
     chunk_count: int | None = None
     block_size: int = 4096
-    parity: int = 2
     token_rounds: int = 16
     audit_rows: int = 16
     he_bits: int = 256
@@ -408,11 +394,7 @@ class Router:
                 chunk, scheme, self.rng, object_id=f"{obj.object_id}/s{slot}"
             )
             enc = integrity.encode(
-                b"".join(bytes(s.payload) for s in shares),
-                columns=n,
-                parity=self.policy.parity,
-                master_key=master_key,
-                f=_FIELD,
+                b"".join(bytes(s.payload) for s in shares), columns=n, f=_FIELD
             )
             locations = []
             for i, share in enumerate(shares):
@@ -433,32 +415,12 @@ class Router:
                         "x": share.x,
                     }
                 )
-            parity_locations = []
-            for j in range(self.policy.parity):
-                provider = ring[(slot + n + j) % len(ring)]
-                node = self._node_for(provider, slot)
-                blob_id = f"{obj.object_id}.s{slot}.p{j}"
-                self.cloud.provider(provider).store_blob(
-                    node,
-                    blob_id,
-                    enc.column_bytes(n + j),
-                    credential=self.policy.credential,
-                )
-                parity_locations.append(
-                    {"provider": provider, "node": node, "blob_id": blob_id}
-                )
             rows = min(self.policy.audit_rows, enc.column_length)
             table = integrity.precompute_tokens(
                 enc, self.policy.token_rounds, rows, master_key
             )
             token_payloads.append(integrity.token_table_to_payload(table))
-            slots.append(
-                {
-                    "shares": locations,
-                    "parity": parity_locations,
-                    "share_bytes": len(chunk),
-                }
-            )
+            slots.append({"shares": locations, "share_bytes": len(chunk)})
 
         integrity_ref = f"itok:{obj.object_id}"
         self.keystore.put(integrity_ref, "integrity-tokens", {"tables": token_payloads})
@@ -473,7 +435,6 @@ class Router:
             "chunk_digests": [_sha256(c) for c in true_chunks],
             "slots": slots,
             "integrity_ref": integrity_ref,
-            "parity": self.policy.parity,
         }
         return self._record(obj, Pipeline.SPLIT_SHARE_DISPERSE, _sha256(raw), details)
 
@@ -648,7 +609,7 @@ class Router:
                 )
             slot_chunks.append(chunk)
 
-        raw = b"".join(slot_chunks[perm[i]] for i in range(details["chunk_count"]))
+        raw = entropy_split.reassemble(slot_chunks, perm)
         self._check_digest(raw, record.object_digest, "reassembled object")
         return raw
 
@@ -694,9 +655,12 @@ class Router:
         token state fall back to a fetch-and-digest check.
 
         Raises:
+            ValueError: rounds < 1.
             NotFound: unknown object id.
             integrity.RoundExhausted: a column has no unused rounds left.
         """
+        if rounds < 1:
+            raise ValueError(f"audit needs at least one round, got {rounds}")
         record = self.manifest.lookup(object_id)
         details = record.details
         pipeline = Pipeline(record.pipeline)
@@ -740,8 +704,7 @@ class Router:
         entries = []
         for slot, slot_info in enumerate(details["slots"]):
             table = tables[slot]
-            locations = slot_info["shares"] + slot_info["parity"]
-            for column, loc in enumerate(locations):
+            for column, loc in enumerate(slot_info["shares"]):
                 for _ in range(rounds):
                     round_index = table.next_round(column)
                     msg = integrity.challenge(table, round_index, column)

@@ -10,28 +10,17 @@ Share i carries q(i) for each byte position, evaluated at x = 1..n. Any
 x = 0; one share fewer is consistent with every candidate secret equally
 often and therefore says nothing about it.
 
-Shares are immutable values and serialize to a fixed little-endian wire form
-(``serialize_share``), so independently written peers interoperate byte for
-byte.
+Shares are immutable values. A provider stores only a share's payload; the
+scheme, the evaluation point and the object id stay in the local manifest.
 """
 
 from __future__ import annotations
 
 import random
-import struct
 from dataclasses import dataclass
 from typing import Sequence
 
-from .field import (
-    BinaryField,
-    FieldSpec,
-    decode_elements,
-    encode_elements,
-    field_tag,
-    read_field_tag,
-)
-
-SHARE_MAGIC = b"CSH1"
+from .field import BinaryField, FieldSpec
 
 
 class ShamirError(Exception):
@@ -190,37 +179,3 @@ def reconstruct(shares: Sequence[Share]) -> bytes:
             acc = f.add(acc, f.mul(w, s.payload[pos]))
         out.append(acc)
     return bytes(out)
-
-
-def serialize_share(share: Share) -> bytes:
-    """Fixed wire form, little-endian throughout.
-
-    Layout: magic "CSH1", u16 threshold, u16 share_count, field tag,
-    u16 x, u16 object id length, object id (utf-8), then the payload as
-    packed field elements (one byte each for GF(2^8), u16le for primes).
-    """
-    scheme = share.scheme
-    oid = share.object_id.encode("utf-8")
-    head = SHARE_MAGIC + struct.pack("<HH", scheme.threshold, scheme.share_count)
-    head += field_tag(scheme.field)
-    head += struct.pack("<HH", share.x, len(oid)) + oid
-    return head + encode_elements(share.payload, scheme.field)
-
-
-def parse_share(data: bytes) -> Share:
-    """Inverse of ``serialize_share``. Raises ValueError on malformed input."""
-    if data[:4] != SHARE_MAGIC:
-        raise ValueError("bad share magic")
-    threshold, share_count = struct.unpack_from("<HH", data, 4)
-    f, off = read_field_tag(data, 8)
-    x, oid_len = struct.unpack_from("<HH", data, off)
-    off += 4
-    if off + oid_len > len(data):
-        raise ValueError("truncated object id")
-    oid = data[off : off + oid_len].decode("utf-8")
-    off += oid_len
-    payload = decode_elements(data[off:], f)
-    scheme = ShareScheme(threshold=threshold, share_count=share_count, field=f)
-    if not 1 <= x <= share_count:
-        raise ValueError(f"share point {x} outside 1..{share_count}")
-    return Share(x=x, payload=payload, scheme=scheme, object_id=oid)

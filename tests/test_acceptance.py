@@ -169,8 +169,8 @@ def test_04_planned_cuts_match_exhaustive_enumeration_exactly():
 def test_05_audit_detection_rate_tracks_sample_size():
     master = b"acceptance-audit-master"
     m, parity, length = 4, 2, 64
-    payload = random.Random(505).randbytes(m * length)
-    enc = integrity.encode(payload, m, parity, master)
+    payload = random.Random(505).randbytes((m + parity) * length)
+    enc = integrity.encode(payload, m + parity)
     assert enc.column_length == length
     bad_column, bad_row = 1, 37
     corrupted = bytearray(enc.column_bytes(bad_column))

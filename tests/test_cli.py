@@ -98,6 +98,20 @@ def test_audit_reports_clean_holders(tmp_path, capsys):
     assert "finding" not in audit
 
 
+@pytest.mark.parametrize("rounds", ["0", "-3"])
+def test_audit_refuses_fewer_than_one_round(tmp_path, capsys, rounds):
+    src = tmp_path / "p.bin"
+    src.write_bytes(random.Random(13).randbytes(2000))
+    main([*_paths(tmp_path), "put", str(src), "--level", "secret"])
+    kv = _kv(capsys.readouterr().out)
+
+    rc = main([*_paths(tmp_path), "audit", kv["object_id"], "--rounds", rounds])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "intact=" not in captured.out
+    assert _kv(captured.err)["error"] == "ValueError"
+
+
 def test_audit_pinpoints_corrupted_blob(tmp_path, capsys):
     # Sampling every row makes detection certain rather than probabilistic.
     cfg = tmp_path / "cfg.txt"

@@ -63,6 +63,8 @@ def test_unknown_keys_rejected():
         settings_from_text("sed = 1\n")
     with pytest.raises(ConfigError):
         settings_from_text("providers = a\nprovider.a.banana = 1\n")
+    with pytest.raises(ConfigError, match="unknown key 'parity'"):
+        settings_from_text("parity = 2\n")
 
 
 def test_raw_metrics_normalized():

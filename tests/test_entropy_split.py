@@ -9,13 +9,9 @@ from cloudvault.entropy_split import (
     ByteDistribution,
     EmptyInput,
     InfeasibleSplit,
-    NoNodes,
-    SplitMode,
     block_boundaries,
     draw_permutation,
     pairwise_chunk_divergence,
-    plan_distribution,
-    plan_fixed,
     plan_split,
     reassemble,
     recovery_probability,
@@ -115,7 +111,6 @@ def test_dp_matches_enumeration_small():
             plan = plan_split(data, c, block_size=16)
             assert plan.objective == _enumerate_best(data, c, 16)
             assert plan.chunk_count == c
-            assert plan.mode is SplitMode.ENTROPY_DP
 
 
 def test_single_chunk_always_feasible():
@@ -132,15 +127,6 @@ def test_chunks_partition_exactly():
     chunks = plan.chunks(data)
     assert b"".join(chunks) == data
     assert all(chunks)
-
-
-def test_fixed_mode():
-    data = bytes(range(100))
-    plan = plan_fixed(data, 4)
-    assert plan.mode is SplitMode.FIXED_SIZE
-    chunks = plan.chunks(data)
-    assert [len(c) for c in chunks] == [25, 25, 25, 25]
-    assert b"".join(chunks) == data
 
 
 def test_infeasible_and_empty():
@@ -190,24 +176,3 @@ def test_recovery_probability_values():
     assert recovery_probability(3) == Fraction(1, 6)
     assert recovery_probability(5) == Fraction(1, 120)
     assert recovery_probability(5, known_storage_set=False) == Fraction(1, 120)
-
-
-def test_plan_distribution_round_robin():
-    rng = random.Random(29)
-    data = rng.randbytes(640)
-    plan = plan_split(data, 8, block_size=16)
-    nodes = [("p1", "n0"), ("p2", "n0"), ("p3", "n0")]
-    dist = plan_distribution(plan, nodes, rng)
-    assert sorted(dist.sequence_permutation) == list(range(8))
-    assert len(dist.assignment) == 8
-    counts = {}
-    for target in dist.assignment:
-        assert target in nodes
-        counts[target] = counts.get(target, 0) + 1
-    assert max(counts.values()) - min(counts.values()) <= 1
-
-
-def test_plan_distribution_requires_nodes():
-    plan = plan_split(b"abcd", 1, block_size=4)
-    with pytest.raises(NoNodes):
-        plan_distribution(plan, [], random.Random(30))

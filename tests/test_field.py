@@ -9,7 +9,6 @@ from cloudvault.field import (
     decode_elements,
     encode_elements,
     field_tag,
-    primitive_element,
     read_field_tag,
 )
 
@@ -101,17 +100,6 @@ def test_element_bounds_checked():
     with pytest.raises(ValueError):
         f.check(-1)
     f.check(12)
-
-
-def test_primitive_element_has_full_order():
-    for f in (BinaryField(), PrimeField(13), PrimeField(251)):
-        g = primitive_element(f)
-        seen = set()
-        x = 1
-        for _ in range(f.order - 1):
-            x = f.mul(x, g)
-            seen.add(x)
-        assert len(seen) == f.order - 1
 
 
 def test_field_tag_round_trip():

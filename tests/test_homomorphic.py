@@ -7,13 +7,11 @@ from cloudvault.homomorphic import (
     KeyMismatch,
     KeyPair,
     PublicKey,
-    UnsupportedOperation,
     decode_signed,
     decrypt,
     encode_signed,
     encrypt,
     he_add,
-    he_div,
     he_scale,
     he_sub,
     keygen,
@@ -88,13 +86,6 @@ def test_fresh_randomness_changes_ciphertext_not_plaintext():
     c2 = encrypt(kp.public, 7, rng)
     assert c1.value != c2.value
     assert decrypt(kp, c1) == decrypt(kp, c2) == 7
-
-
-def test_division_unsupported():
-    kp = keygen(128, random.Random(60))
-    c = encrypt(kp.public, 10, random.Random(61))
-    with pytest.raises(UnsupportedOperation):
-        he_div(c, 2)
 
 
 def test_signed_wraparound():

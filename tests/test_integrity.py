@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 import random
 import struct
 
@@ -7,30 +6,23 @@ import pytest
 
 from cloudvault.field import BinaryField, PrimeField
 from cloudvault.integrity import (
-    EncodedFile,
     InvalidChallenge,
     InvalidShape,
     NoSuchChallenge,
     OutOfRange,
-    RecoveryFailed,
     RoundExhausted,
     challenge,
     column_token,
-    decode,
     derive_challenge,
     encode,
     encode_response,
-    generator_matrix,
     parse_challenge,
     parse_response,
     precompute_tokens,
-    recover_columns,
     respond,
     serialize_challenge,
     token_table_from_payload,
     token_table_to_payload,
-    unblind_parity,
-    update_column,
     verify,
 )
 
@@ -105,82 +97,55 @@ def test_same_round_same_challenge_for_all_columns():
 
 
 def test_encode_decode_round_trip():
+    # The stored columns put back side by side are the payload plus the
+    # zero padding up to a whole number of columns.
     rng = random.Random(32)
     for _ in range(20):
         payload = rng.randbytes(rng.randrange(1, 300))
         m = rng.randrange(1, 7)
-        kp = rng.randrange(0, 3)
-        enc = encode(payload, m, kp, rng.randbytes(32))
-        assert decode(enc) == payload
-        assert len(enc.data_columns) == m
-        assert len(enc.parity_columns) == kp
+        enc = encode(payload, m)
+        assert len(enc.columns) == m
+        joined = b"".join(enc.column_bytes(i) for i in range(m))
+        assert len(joined) == m * enc.column_length
+        assert joined[: len(payload)] == payload
+        assert joined[len(payload) :] == bytes(len(joined) - len(payload))
 
 
 def test_encode_pads_to_column_length():
-    enc = encode(b"abcdefg", 3, 1, b"k" * 32)
+    enc = encode(b"abcdefg", 3)
     assert enc.column_length == 3
-    assert enc.padding == 2
-    assert decode(enc) == b"abcdefg"
+    assert [enc.column_bytes(i) for i in range(3)] == [b"abc", b"def", b"g\x00\x00"]
 
 
 def test_column_major_layout():
     # Bytes fill columns top to bottom, columns left to right.
-    enc = encode(bytes(range(6)), 2, 0, b"k" * 32)
-    assert enc.data_columns[0] == (0, 1, 2)
-    assert enc.data_columns[1] == (3, 4, 5)
-
-
-def test_parity_satisfies_generator_relation():
-    rng = random.Random(33)
-    payload = rng.randbytes(120)
-    key = rng.randbytes(32)
-    enc = encode(payload, 4, 2, key)
-    clear = unblind_parity(enc, key)
-    g = generator_matrix(_GF, 4, 2)
-    for j in range(2):
-        for row in range(enc.column_length):
-            want = 0
-            for i in range(4):
-                want = _GF.add(want, _GF.mul(g[i][j], enc.data_columns[i][row]))
-            assert clear[j][row] == want
-
-
-def test_parity_is_blinded_on_the_wire():
-    rng = random.Random(34)
-    payload = rng.randbytes(64)
-    key = rng.randbytes(32)
-    enc = encode(payload, 2, 2, key)
-    clear = unblind_parity(enc, key)
-    assert enc.parity_columns != clear  # stream never degenerates to zero here
+    enc = encode(bytes(range(6)), 2)
+    assert enc.columns[0] == (0, 1, 2)
+    assert enc.columns[1] == (3, 4, 5)
 
 
 def test_encode_shape_validation():
-    key = b"k" * 32
     with pytest.raises(InvalidShape):
-        encode(b"", 2, 1, key)
+        encode(b"", 2)
     with pytest.raises(InvalidShape):
-        encode(b"data", 0, 1, key)
+        encode(b"data", 0)
     with pytest.raises(InvalidShape):
-        encode(b"data", 2, -1, key)
-    with pytest.raises(InvalidShape):
-        encode(b"data", 200, 60, key)  # 260 distinct points exceed GF(256)
-    with pytest.raises(InvalidShape):
-        encode(bytes([251]), 2, 1, key, f=PrimeField(251))
+        encode(bytes([251]), 2, f=PrimeField(251))
 
 
 def test_token_count_is_columns_times_rounds():
     rng = random.Random(35)
-    enc = encode(rng.randbytes(192), 4, 2, rng.randbytes(32))
+    enc = encode(rng.randbytes(192), 6)
     table = precompute_tokens(enc, 9, 8, rng.randbytes(32))
-    assert sum(len(col) for col in table.tokens) == (4 + 2) * 9
+    assert sum(len(col) for col in table.tokens) == 6 * 9
 
 
 def test_honest_response_verifies():
     rng = random.Random(36)
     key = rng.randbytes(32)
-    enc = encode(rng.randbytes(200), 3, 2, key)
+    enc = encode(rng.randbytes(200), 5)
     table = precompute_tokens(enc, 4, 8, key)
-    for col in range(enc.column_count):
+    for col in range(len(enc.columns)):
         stored = enc.column_bytes(col)
         rnd = table.next_round(col)
         msg = challenge(table, rnd, col)
@@ -190,7 +155,7 @@ def test_honest_response_verifies():
 def test_corrupted_response_fails_when_row_sampled():
     rng = random.Random(37)
     key = rng.randbytes(32)
-    enc = encode(rng.randbytes(64), 2, 1, key)
+    enc = encode(rng.randbytes(64), 3)
     table = precompute_tokens(enc, 1, enc.column_length, key)  # sample all rows
     stored = bytearray(enc.column_bytes(0))
     stored[5] ^= 0x41
@@ -203,9 +168,9 @@ def test_detection_rate_is_sample_fraction():
     across all corruption positions the hit count equals the sample size."""
     rng = random.Random(38)
     key = rng.randbytes(32)
-    enc = encode(rng.randbytes(64), 1, 0, key)
+    enc = encode(rng.randbytes(64), 1)
     assert enc.column_length == 64
-    column = enc.data_columns[0]
+    column = enc.columns[0]
     for r in (8, 16, 32):
         rows, coeffs = derive_challenge(key, 0, 64, r, _GF)
         expected = column_token(column, rows, coeffs, _GF)
@@ -221,7 +186,7 @@ def test_detection_rate_is_sample_fraction():
 def test_challenge_consumed_once():
     rng = random.Random(39)
     key = rng.randbytes(32)
-    enc = encode(rng.randbytes(40), 2, 0, key)
+    enc = encode(rng.randbytes(40), 2)
     table = precompute_tokens(enc, 2, 4, key)
     msg = challenge(table, 0, 0)
     with pytest.raises(RoundExhausted):
@@ -235,7 +200,7 @@ def test_challenge_consumed_once():
 def test_rounds_exhaust():
     rng = random.Random(40)
     key = rng.randbytes(32)
-    enc = encode(rng.randbytes(40), 1, 0, key)
+    enc = encode(rng.randbytes(40), 1)
     table = precompute_tokens(enc, 2, 4, key)
     for _ in range(2):
         challenge(table, table.next_round(0), 0)
@@ -246,7 +211,7 @@ def test_rounds_exhaust():
 def test_challenge_wire_round_trip_and_no_secrets():
     rng = random.Random(41)
     key = rng.randbytes(32)
-    enc = encode(rng.randbytes(100), 2, 1, key)
+    enc = encode(rng.randbytes(100), 3)
     table = precompute_tokens(enc, 3, 5, key)
     msg = challenge(table, 0, 1)
     wire = serialize_challenge(msg)
@@ -266,57 +231,18 @@ def test_parse_challenge_rejects_garbage():
         parse_challenge(b"AAAA" + bytes(20))
 
 
-def test_update_column_keeps_parity_consistent():
-    rng = random.Random(42)
-    key = rng.randbytes(32)
-    enc = encode(rng.randbytes(90), 3, 2, key)
-    new_col = tuple(rng.randrange(256) for _ in range(enc.column_length))
-    enc2 = update_column(enc, 1, new_col)
-    assert enc2.data_columns[1] == new_col
-    # The delta path needs no key, yet the blinded parity matches a fresh
-    # encode of the same data under the same key.
-    flat = []
-    for col in enc2.data_columns:
-        flat.extend(col)
-    raw = bytes(flat)[: len(flat) - enc2.padding] if enc2.padding else bytes(flat)
-    fresh = encode(raw, 3, 2, key)
-    assert fresh.parity_columns == enc2.parity_columns
-
-
-def test_recover_from_erasures():
-    rng = random.Random(43)
-    key = rng.randbytes(32)
-    payload = rng.randbytes(150)
-    enc = encode(payload, 4, 2, key)
-    stored = {i: enc.column_bytes(i) for i in range(enc.column_count)}
-    for missing in itertools.combinations(range(4), 2):
-        present = {i: b for i, b in stored.items() if i not in missing}
-        cols = recover_columns(
-            present, 4, 2, enc.column_length, key, _GF
-        )
-        assert tuple(cols) == enc.data_columns
-
-
-def test_recover_fails_beyond_parity():
-    rng = random.Random(44)
-    key = rng.randbytes(32)
-    enc = encode(rng.randbytes(60), 4, 1, key)
-    stored = {i: enc.column_bytes(i) for i in range(enc.column_count)}
-    present = {i: b for i, b in stored.items() if i not in (0, 1)}
-    with pytest.raises(RecoveryFailed):
-        recover_columns(present, 4, 1, enc.column_length, key, _GF)
-
-
 def test_token_table_payload_round_trip_preserves_state():
     rng = random.Random(45)
     key = rng.randbytes(32)
-    enc = encode(rng.randbytes(80), 2, 1, key)
+    enc = encode(rng.randbytes(80), 3)
     table = precompute_tokens(enc, 3, 4, key)
     msg = challenge(table, 0, 0)
     verify(table, 0, 0, respond(enc.column_bytes(0), msg))
     challenge(table, 0, 1)  # left pending on purpose
 
-    back = token_table_from_payload(token_table_to_payload(table))
+    payload = token_table_to_payload(table)
+    assert "seeds" not in payload
+    back = token_table_from_payload(payload)
     assert back.tokens == table.tokens
     assert back.issued == table.issued
     assert back.pending == table.pending
@@ -329,7 +255,7 @@ def test_token_table_payload_round_trip_preserves_state():
 def test_out_of_range_guards():
     rng = random.Random(46)
     key = rng.randbytes(32)
-    enc = encode(rng.randbytes(40), 2, 0, key)
+    enc = encode(rng.randbytes(40), 2)
     table = precompute_tokens(enc, 2, 4, key)
     with pytest.raises(OutOfRange):
         challenge(table, 0, 9)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -20,7 +21,6 @@ from cloudvault.router import (
     Router,
     RoutingDecision,
     SecretLevel,
-    protection_rank,
 )
 from cloudvault.simcloud import CorruptBlob, NodeUnavailable, SimCloud
 
@@ -66,16 +66,6 @@ def test_routing_golden_table(tmp_path):
         assert decision.pipeline is want, (level, ops)
         if want is Pipeline.REJECTED:
             assert decision.reason
-
-
-def test_protection_ordering():
-    assert (
-        protection_rank(Pipeline.LOCAL_ONLY)
-        > protection_rank(Pipeline.SPLIT_SHARE_DISPERSE)
-        >= protection_rank(Pipeline.HOMOMORPHIC_STORE)
-        > protection_rank(Pipeline.PLAIN_SINGLE_CLOUD)
-        > protection_rank(Pipeline.REJECTED)
-    )
 
 
 def test_route_defaults_for_five_providers(tmp_path):
@@ -183,8 +173,17 @@ def test_audit_clean_then_attributes_corruption(tmp_path):
     assert isinstance(report, AuditReport)
     assert report.intact
     n = rec.details["scheme"]["share_count"]
-    kp = rec.details["parity"]
-    assert len(report.entries) == rec.details["chunk_count"] * (n + kp)
+    chunk_count = rec.details["chunk_count"]
+    assert len(report.entries) == chunk_count * n
+
+    # Every slot stores exactly its n share blobs and nothing else.
+    per_slot = {slot: 0 for slot in range(chunk_count)}
+    for pid in router.cloud.providers:
+        for entry in router.cloud.insider_dump(pid):
+            match = re.fullmatch(r"o\.s(\d+)\.c(\d+)", entry.blob_id)
+            assert match, entry.blob_id
+            per_slot[int(match[1])] += 1
+    assert per_slot == {slot: n for slot in range(chunk_count)}
 
     loc = rec.details["slots"][1]["shares"][2]
     router.cloud.inject(
@@ -210,6 +209,17 @@ def test_audit_consumes_rounds_and_persists(tmp_path):
         router.audit("o")
     # Consumption survives a fresh router over the same keystore.
     assert router.keystore.get("itok:o")["tables"][0]["issued"]
+
+
+@pytest.mark.parametrize("rounds", [0, -3])
+def test_audit_refuses_fewer_than_one_round(tmp_path, rounds):
+    router = _router(tmp_path)
+    payload = random.Random(7).randbytes(1000)
+    router.put(_obj("o", payload, SecretLevel.SECRET, OperationClass.NO_OPERATIONS))
+    before = len(router.keystore.log.records())
+    with pytest.raises(ValueError):
+        router.audit("o", rounds=rounds)
+    assert len(router.keystore.log.records()) == before
 
 
 def test_audit_marks_unreachable(tmp_path):

@@ -11,9 +11,7 @@ from cloudvault.shamir import (
     MixedScheme,
     Share,
     ShareScheme,
-    parse_share,
     reconstruct,
-    serialize_share,
     split,
 )
 
@@ -110,21 +108,6 @@ def test_split_rejects_bad_input():
         split(b"", ShareScheme(2, 3), rng)
     with pytest.raises(ValueError):
         split(bytes([200]), ShareScheme(2, 3, field=PrimeField(13)), rng)
-
-
-def test_serialize_parse_round_trip():
-    rng = random.Random(16)
-    for field in (BinaryField(), PrimeField(251)):
-        scheme = ShareScheme(threshold=2, share_count=4, field=field)
-        secret = bytes(rng.randrange(field.order) for _ in range(19))
-        for share in split(secret, scheme, rng, object_id="roundtrip/0"):
-            wire = serialize_share(share)
-            assert parse_share(wire) == share
-
-
-def test_parse_rejects_foreign_magic():
-    with pytest.raises(ValueError):
-        parse_share(b"XXXX" + bytes(16))
 
 
 def test_reconstruct_uses_any_k_not_just_first_n():

@@ -82,7 +82,7 @@ def test_corrupt_blob_validation():
 def test_challenge_endpoint_matches_local_compute():
     rng = random.Random(101)
     key = rng.randbytes(32)
-    enc = integrity.encode(rng.randbytes(96), 2, 1, key)
+    enc = integrity.encode(rng.randbytes(96), 3)
     table = integrity.precompute_tokens(enc, 2, 6, key)
     cloud = SimCloud.build(_TOPOLOGY)
     p = cloud.provider("alpha")
@@ -97,7 +97,7 @@ def test_challenge_endpoint_matches_local_compute():
 def test_challenge_sees_injected_corruption():
     rng = random.Random(102)
     key = rng.randbytes(32)
-    enc = integrity.encode(rng.randbytes(32), 1, 0, key)
+    enc = integrity.encode(rng.randbytes(32), 1)
     table = integrity.precompute_tokens(enc, 1, enc.column_length, key)
     cloud = SimCloud.build(_TOPOLOGY)
     p = cloud.provider("beta")
