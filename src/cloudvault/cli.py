@@ -175,12 +175,19 @@ def _read_payload(path: str) -> bytes:
     return Path(path).read_bytes()
 
 
+def _parse_table(raw: bytes) -> list[dict]:
+    rows = json.loads(raw.decode("utf-8"))
+    if not (isinstance(rows, list) and rows and all(isinstance(r, dict) for r in rows)):
+        raise ValueError("expected a non-empty JSON list of records")
+    return rows
+
+
 def _cmd_put(settings: Settings, args: argparse.Namespace) -> int:
     raw = _read_payload(args.path)
     payload: bytes | list = raw
     id_columns: tuple[str, ...] = ()
     if args.table:
-        payload = json.loads(raw.decode("utf-8"))
+        payload = _parse_table(raw)
         id_columns = tuple(c for c in args.id_columns.split(",") if c)
     object_id = args.object_id or hashlib.sha256(raw).hexdigest()[:16]
 
@@ -264,9 +271,7 @@ def _cmd_rank(settings: Settings, args: argparse.Namespace) -> int:
 
 def _cmd_anonymize(settings: Settings, args: argparse.Namespace) -> int:
     raw = _read_payload(args.path)
-    rows = json.loads(raw.decode("utf-8"))
-    if not isinstance(rows, list) or not rows:
-        raise ValueError("expected a non-empty JSON list of records")
+    rows = _parse_table(raw)
     id_columns = tuple(c for c in args.id_columns.split(",") if c)
     payload_cols = [c for c in rows[0].keys() if c not in id_columns]
     if not payload_cols:

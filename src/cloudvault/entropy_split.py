@@ -149,8 +149,8 @@ def plan_split(data: bytes, chunk_count: int, block_size: int = DEFAULT_BLOCK_SI
     if chunk_count < 1:
         raise InfeasibleSplit("chunk count must be at least 1")
     if chunk_count == 1:
-        dist = ByteDistribution.from_bytes(data)
-        return SplitPlan((), 1, relative_entropy(dist, dist))
+        # The one chunk is the whole file, and D(P || P) = 0.
+        return SplitPlan((), 1, 0.0)
     if chunk_count * block_size > len(data):
         raise InfeasibleSplit(
             f"{chunk_count} chunks at block size {block_size} need "

@@ -1,8 +1,9 @@
 """Remote-integrity auditing with precomputed tokens over stored columns.
 
-A payload is reshaped column-major into ``columns`` equal-length vectors of
-field elements, one per holder. The router feeds it the concatenated Shamir
-shares of a chunk, so each column is exactly one share: the threshold scheme
+A payload is reshaped column-major into ``columns`` equal-length byte
+strings, one per holder; every byte is an element of GF(2^8), the only field
+this module speaks. The router feeds it the concatenated Shamir shares of a
+chunk, so each column is exactly one share's bytes: the threshold scheme
 already tolerates share_count - threshold lost or damaged columns, and no
 separate redundancy is stored.
 
@@ -30,6 +31,9 @@ same steps independently):
   b"challenge" under that seed and draws the distinct row indices first
   (duplicates skipped, result sorted ascending), then one nonzero
   coefficient per row in row order.
+
+A token is the GF(2^8) sum of coefficient * row byte over the sampled rows:
+one gather of those rows from every column and one ``mul_table`` lookup.
 """
 
 from __future__ import annotations
@@ -39,16 +43,14 @@ import struct
 from dataclasses import dataclass, field as dc_field
 from typing import Mapping, Sequence
 
-from .field import (
-    BinaryField,
-    FieldSpec,
-    decode_elements,
-    encode_elements,
-    field_tag,
-    read_field_tag,
-)
+import numpy as np
+
+from .field import BinaryField
 
 CHALLENGE_MAGIC = b"CIT1"
+# The byte after the magic names the field; GF(2^8), tag 0x00, is the only one.
+_GF256_TAG = b"\x00"
+_MUL = BinaryField().mul_table
 
 
 class IntegrityError(Exception):
@@ -56,11 +58,12 @@ class IntegrityError(Exception):
 
 
 class InvalidShape(IntegrityError):
-    """Column geometry is impossible for the payload or the field."""
+    """Column geometry is impossible for the payload."""
 
 
 class InvalidChallenge(IntegrityError):
-    """Sample size or round count outside the valid range."""
+    """Sample size or round count outside the valid range, or a malformed
+    challenge or response on the wire."""
 
 
 class RoundExhausted(IntegrityError):
@@ -109,9 +112,6 @@ class KeyedStream:
             if v < limit:
                 return v % bound
 
-    def nonzero_element(self, f: FieldSpec) -> int:
-        return 1 + self.uniform(f.order - 1)
-
     def distinct_indices(self, count: int, bound: int) -> tuple[int, ...]:
         if count > bound:
             raise ValueError("cannot draw more distinct indices than the bound")
@@ -123,44 +123,32 @@ class KeyedStream:
 
 @dataclass(frozen=True)
 class EncodedFile:
-    """Stored column view: the payload cut column-major into equal columns."""
+    """Stored column view: the payload cut column-major into equal columns.
 
-    columns: tuple[tuple[int, ...], ...]
-    field: FieldSpec
+    Each column is the bytes one holder stores.
+    """
+
+    columns: tuple[bytes, ...]
     column_length: int
 
-    def column_bytes(self, index: int) -> bytes:
-        """Wire form of one stored column (what a provider holds)."""
-        return encode_elements(self.columns[index], self.field)
 
-
-def encode(payload: bytes, columns: int, f: FieldSpec = BinaryField()) -> EncodedFile:
+def encode(payload: bytes, columns: int) -> EncodedFile:
     """Reshape ``payload`` into ``columns`` stored columns.
 
-    The payload is zero-padded to a multiple of ``columns`` elements and
-    filled column-major: the first column_length elements are column 0 and
-    so on.
+    The payload is zero-padded to a multiple of ``columns`` bytes and filled
+    column-major: the first column_length bytes are column 0 and so on.
 
     Raises:
-        InvalidShape: empty payload, columns < 1, or a payload byte outside
-            a prime field's range.
+        InvalidShape: empty payload or columns < 1.
     """
     if not payload:
         raise InvalidShape("empty payload")
     if columns < 1:
         raise InvalidShape("need at least one column")
-    elements = list(payload)
-    if f.order < 256:
-        for e in elements:
-            if e >= f.order:
-                raise InvalidShape(f"payload byte {e} outside GF({f.order})")
-    col_len = -(-len(elements) // columns)
-    elements.extend([0] * (columns * col_len - len(elements)))
+    col_len = -(-len(payload) // columns)
+    padded = payload + bytes(columns * col_len - len(payload))
     return EncodedFile(
-        columns=tuple(
-            tuple(elements[i * col_len : (i + 1) * col_len]) for i in range(columns)
-        ),
-        field=f,
+        columns=tuple(padded[i * col_len : (i + 1) * col_len] for i in range(columns)),
         column_length=col_len,
     )
 
@@ -178,33 +166,36 @@ def derive_challenge(
     round_index: int,
     column_length: int,
     sample_size: int,
-    f: FieldSpec,
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Row indices and coefficients for one audit round.
 
     Depends on the master key and round only, never on the column, so one
     derivation covers every column of the round. Rows come out sorted and
-    distinct; coefficients are uniform nonzero elements, one per row.
+    distinct; coefficients are uniform nonzero bytes, one per row.
     """
     stream = KeyedStream(round_seed(master_key, round_index), b"challenge")
     rows = stream.distinct_indices(sample_size, column_length)
-    coeffs = tuple(stream.nonzero_element(f) for _ in rows)
+    coeffs = tuple(1 + stream.uniform(255) for _ in rows)
     return rows, coeffs
 
 
-def column_token(
-    column: Sequence[int],
-    rows: Sequence[int],
-    coeffs: Sequence[int],
-    f: FieldSpec,
-) -> int:
+def _tokens(
+    columns: np.ndarray, rows: Sequence[int], coeffs: Sequence[int]
+) -> np.ndarray:
+    """One round's token for every stored column; ``columns`` is a uint8
+    array holding one stored column per array row."""
+    gathered = columns[:, np.asarray(rows, dtype=np.intp)]
+    products = _MUL[np.asarray(coeffs, dtype=np.uint8), gathered]
+    return np.bitwise_xor.reduce(products, axis=1)
+
+
+def column_token(column: bytes, rows: Sequence[int], coeffs: Sequence[int]) -> int:
     """Linear combination of the sampled rows: the audit's expected answer."""
-    acc = 0
-    for r, c in zip(rows, coeffs):
+    for r in rows:
         if not 0 <= r < len(column):
             raise OutOfRange(f"row {r} outside column of length {len(column)}")
-        acc = f.add(acc, f.mul(c, column[r]))
-    return acc
+    stacked = np.frombuffer(column, dtype=np.uint8)[None, :]
+    return int(_tokens(stacked, rows, coeffs)[0])
 
 
 @dataclass
@@ -220,7 +211,6 @@ class TokenTable:
     sample_size: int
     rounds: int
     column_length: int
-    field: FieldSpec
     master_key: bytes
     issued: set[tuple[int, int]] = dc_field(default_factory=set)
     pending: set[tuple[int, int]] = dc_field(default_factory=set)
@@ -228,6 +218,12 @@ class TokenTable:
     @property
     def column_count(self) -> int:
         return len(self.tokens)
+
+    def rounds_left(self, column: int) -> int:
+        """Rounds not yet issued for ``column``."""
+        if not 0 <= column < self.column_count:
+            raise OutOfRange(f"no column {column}")
+        return sum((i, column) not in self.issued for i in range(self.rounds))
 
     def next_round(self, column: int) -> int:
         """Smallest round not yet issued for ``column``."""
@@ -247,7 +243,6 @@ class ChallengeMessage:
     column: int
     rows: tuple[int, ...]
     coefficients: tuple[int, ...]
-    field: FieldSpec
 
 
 @dataclass(frozen=True)
@@ -277,23 +272,21 @@ def precompute_tokens(
         raise InvalidChallenge(
             f"sample size {sample_size} outside [1, {enc.column_length}]"
         )
-    per_round = []
-    for i in range(rounds):
-        rows, coeffs = derive_challenge(
-            master_key, i, enc.column_length, sample_size, enc.field
-        )
-        per_round.append(
-            tuple(column_token(col, rows, coeffs, enc.field) for col in enc.columns)
-        )
-    tokens = tuple(
-        tuple(per_round[i][j] for i in range(rounds)) for j in range(len(enc.columns))
+    columns = np.frombuffer(b"".join(enc.columns), dtype=np.uint8).reshape(
+        len(enc.columns), enc.column_length
+    )
+    per_round = np.stack(
+        [
+            _tokens(columns, *derive_challenge(master_key, i, enc.column_length, sample_size))
+            for i in range(rounds)
+        ],
+        axis=1,
     )
     return TokenTable(
-        tokens=tokens,
+        tokens=tuple(tuple(col) for col in per_round.tolist()),
         sample_size=sample_size,
         rounds=rounds,
         column_length=enc.column_length,
-        field=enc.field,
         master_key=master_key,
     )
 
@@ -313,7 +306,7 @@ def challenge(table: TokenTable, round_index: int, column: int) -> ChallengeMess
     if key in table.issued:
         raise RoundExhausted(f"round {round_index} already used for column {column}")
     rows, coeffs = derive_challenge(
-        table.master_key, round_index, table.column_length, table.sample_size, table.field
+        table.master_key, round_index, table.column_length, table.sample_size
     )
     table.issued.add(key)
     table.pending.add(key)
@@ -322,7 +315,6 @@ def challenge(table: TokenTable, round_index: int, column: int) -> ChallengeMess
         column=column,
         rows=rows,
         coefficients=coeffs,
-        field=table.field,
     )
 
 
@@ -346,51 +338,52 @@ def respond(stored: bytes, message: ChallengeMessage) -> int:
     Runs on whatever the holder actually stores, so corruption shows up as
     a token mismatch at verify time.
     """
-    elements = decode_elements(stored, message.field)
-    return column_token(elements, message.rows, message.coefficients, message.field)
+    return column_token(stored, message.rows, message.coefficients)
 
 
 def serialize_challenge(msg: ChallengeMessage) -> bytes:
-    """Wire form: "CIT1", field tag, u32 round, u32 column, u32 count,
-    count u32le rows, count packed coefficients. Little-endian throughout.
+    """Wire form: "CIT1", the GF(2^8) tag 0x00, u32 round, u32 column,
+    u32 count, count u32le rows, count coefficient bytes. Little-endian
+    throughout.
 
     Carries everything the holder needs and nothing it must not see: no
     master key, no token.
     """
-    out = CHALLENGE_MAGIC + field_tag(msg.field)
+    out = CHALLENGE_MAGIC + _GF256_TAG
     out += struct.pack("<III", msg.round_index, msg.column, len(msg.rows))
     out += struct.pack(f"<{len(msg.rows)}I", *msg.rows)
-    out += encode_elements(msg.coefficients, msg.field)
+    out += bytes(msg.coefficients)
     return out
 
 
 def parse_challenge(data: bytes) -> ChallengeMessage:
     if data[:4] != CHALLENGE_MAGIC:
         raise InvalidChallenge("bad challenge magic")
-    f, off = read_field_tag(data, 4)
-    round_index, column, count = struct.unpack_from("<III", data, off)
-    off += 12
-    end_rows = off + 4 * count
+    if data[4:5] != _GF256_TAG:
+        raise InvalidChallenge("challenge is not over GF(2^8)")
+    if len(data) < 17:
+        raise InvalidChallenge("truncated challenge header")
+    round_index, column, count = struct.unpack_from("<III", data, 5)
+    end_rows = 17 + 4 * count
     if end_rows > len(data):
         raise InvalidChallenge("truncated row list")
-    rows = struct.unpack_from(f"<{count}I", data, off)
-    coeffs = decode_elements(data[end_rows:], f)
+    rows = struct.unpack_from(f"<{count}I", data, 17)
+    coeffs = tuple(data[end_rows:])
     if len(coeffs) != count:
         raise InvalidChallenge("coefficient count does not match row count")
     return ChallengeMessage(
-        round_index=round_index, column=column, rows=rows, coefficients=coeffs, field=f
+        round_index=round_index, column=column, rows=rows, coefficients=coeffs
     )
 
 
-def encode_response(value: int, f: FieldSpec) -> bytes:
-    return encode_elements([value], f)
+def encode_response(value: int) -> bytes:
+    return bytes([value])
 
 
-def parse_response(data: bytes, f: FieldSpec) -> int:
-    values = decode_elements(data, f)
-    if len(values) != 1:
-        raise InvalidChallenge("response must be a single element")
-    return values[0]
+def parse_response(data: bytes) -> int:
+    if len(data) != 1:
+        raise InvalidChallenge("response must be a single byte")
+    return data[0]
 
 
 def token_table_to_payload(table: TokenTable) -> dict:
@@ -400,7 +393,6 @@ def token_table_to_payload(table: TokenTable) -> dict:
         "sample_size": table.sample_size,
         "rounds": table.rounds,
         "column_length": table.column_length,
-        "field": field_tag(table.field).hex(),
         "master_key": table.master_key.hex(),
         "issued": sorted(list(p) for p in table.issued),
         "pending": sorted(list(p) for p in table.pending),
@@ -408,13 +400,13 @@ def token_table_to_payload(table: TokenTable) -> dict:
 
 
 def token_table_from_payload(payload: Mapping) -> TokenTable:
-    f, _ = read_field_tag(bytes.fromhex(payload["field"]), 0)
+    """Inverse of ``token_table_to_payload``. Ignores the ``"field"`` key
+    that earlier releases wrote; it always named GF(2^8)."""
     return TokenTable(
         tokens=tuple(tuple(col) for col in payload["tokens"]),
         sample_size=payload["sample_size"],
         rounds=payload["rounds"],
         column_length=payload["column_length"],
-        field=f,
         master_key=bytes.fromhex(payload["master_key"]),
         issued={tuple(p) for p in payload["issued"]},
         pending={tuple(p) for p in payload["pending"]},

@@ -21,6 +21,8 @@ Records are immutable once committed: an update appends a new version under
 the same id and readers take the highest version. The manifest and the
 keystore are separate files with the same container format, so placement
 metadata can be shared for debugging without handing over a single secret.
+Both index their records by id in memory, built once at open and extended
+on every append, so a lookup costs the same however long the log grows.
 
 Writers take an exclusive advisory lock on the file for their lifetime;
 a second writer fails fast instead of interleaving appends.
@@ -233,10 +235,14 @@ class ManifestRecord:
 
 
 class ManifestStore:
-    """Versioned object placements over a RecordLog."""
+    """Versioned object placements over a RecordLog, indexed by object id."""
 
     def __init__(self, path: str | Path, writable: bool = True, recover: bool = False):
         self.log = RecordLog(path, writable=writable, recover=recover)
+        # object id -> record payloads, oldest version first; ids in first-seen order.
+        self._versions: dict[str, list[dict]] = {}
+        for r in self.log.records():
+            self._versions.setdefault(r["object_id"], []).append(r)
 
     @property
     def tail_torn(self) -> bool:
@@ -244,7 +250,7 @@ class ManifestStore:
 
     def commit(self, record: ManifestRecord) -> ManifestRecord:
         """Append the next version of this object's record and return it."""
-        version = len(self.history(record.object_id)) + 1
+        version = len(self._versions.get(record.object_id, ())) + 1
         stamped = ManifestRecord(
             object_id=record.object_id,
             pipeline=record.pipeline,
@@ -254,28 +260,22 @@ class ManifestStore:
             object_digest=record.object_digest,
             details=record.details,
         )
-        self.log.append(stamped.to_payload())
+        payload = stamped.to_payload()
+        self.log.append(payload)
+        self._versions.setdefault(record.object_id, []).append(payload)
         return stamped
 
     def history(self, object_id: str) -> list[ManifestRecord]:
-        return [
-            ManifestRecord.from_payload(r)
-            for r in self.log.records()
-            if r["object_id"] == object_id
-        ]
+        return [ManifestRecord.from_payload(r) for r in self._versions.get(object_id, ())]
 
     def lookup(self, object_id: str) -> ManifestRecord:
-        hist = self.history(object_id)
-        if not hist:
+        versions = self._versions.get(object_id)
+        if not versions:
             raise NotFound(f"no manifest record for {object_id!r}")
-        return hist[-1]
+        return ManifestRecord.from_payload(versions[-1])
 
     def object_ids(self) -> list[str]:
-        seen: list[str] = []
-        for r in self.log.records():
-            if r["object_id"] not in seen:
-                seen.append(r["object_id"])
-        return seen
+        return list(self._versions)
 
     def close(self) -> None:
         self.log.close()
@@ -289,35 +289,36 @@ class ManifestStore:
 
 class KeyStore:
     """Versioned secret material (salts, master keys, private keys, token
-    state) over the same container format, in its own file."""
+    state) over the same container format, in its own file, indexed by key
+    id."""
 
     def __init__(self, path: str | Path, writable: bool = True, recover: bool = False):
         self.log = RecordLog(path, writable=writable, recover=recover)
+        # key id -> newest record; ids in first-seen order.
+        self._latest: dict[str, dict] = {}
+        for r in self.log.records():
+            self._latest[r["key_id"]] = r
 
     @property
     def tail_torn(self) -> bool:
         return self.log.tail_torn
 
     def put(self, key_id: str, kind: str, data: dict) -> int:
-        version = len([r for r in self.log.records() if r["key_id"] == key_id]) + 1
-        self.log.append({"key_id": key_id, "kind": kind, "version": version, "data": data})
+        newest = self._latest.get(key_id)
+        version = newest["version"] + 1 if newest is not None else 1
+        record = {"key_id": key_id, "kind": kind, "version": version, "data": data}
+        self.log.append(record)
+        self._latest[key_id] = record
         return version
 
     def get(self, key_id: str) -> dict:
-        found: dict | None = None
-        for r in self.log.records():
-            if r["key_id"] == key_id:
-                found = r
-        if found is None:
+        newest = self._latest.get(key_id)
+        if newest is None:
             raise NotFound(f"no key record for {key_id!r}")
-        return found["data"]
+        return newest["data"]
 
     def iter_ids(self) -> Iterator[str]:
-        seen = set()
-        for r in self.log.records():
-            if r["key_id"] not in seen:
-                seen.add(r["key_id"])
-                yield r["key_id"]
+        return iter(list(self._latest))
 
     def close(self) -> None:
         self.log.close()

@@ -30,11 +30,8 @@ from dataclasses import dataclass, field as dc_field
 from typing import Mapping
 
 from . import anonymize, entropy_split, homomorphic, integrity, shamir, simcloud
-from .field import BinaryField
 from .persistence import KeyStore, ManifestRecord, ManifestStore, NotFound
 from .ranking import ProviderProfile, Weights, rank_providers
-
-_FIELD = BinaryField()
 
 
 class RouterError(Exception):
@@ -386,16 +383,14 @@ class Router:
         slot_chunks = entropy_split.scatter(true_chunks, perm)
 
         master_key = self.rng.randbytes(32)
-        scheme = shamir.ShareScheme(threshold=k, share_count=n, field=_FIELD)
+        scheme = shamir.ShareScheme(threshold=k, share_count=n)
         slots = []
         token_payloads = []
         for slot, chunk in enumerate(slot_chunks):
             shares = shamir.split(
                 chunk, scheme, self.rng, object_id=f"{obj.object_id}/s{slot}"
             )
-            enc = integrity.encode(
-                b"".join(bytes(s.payload) for s in shares), columns=n, f=_FIELD
-            )
+            enc = integrity.encode(b"".join(s.payload for s in shares), columns=n)
             locations = []
             for i, share in enumerate(shares):
                 provider = ring[(slot + i) % len(ring)]
@@ -404,7 +399,7 @@ class Router:
                 self.cloud.provider(provider).store_blob(
                     node,
                     blob_id,
-                    enc.column_bytes(i),
+                    enc.columns[i],
                     credential=self.policy.credential,
                 )
                 locations.append(
@@ -442,6 +437,8 @@ class Router:
         rows = obj.payload
         if not obj.id_columns:
             raise ValueError("tabular objects must name their identifier columns")
+        if not rows:
+            raise ValueError("tabular objects need at least one row")
         providers = list(decision.providers)
         payload_cols = [c for c in rows[0].keys() if c not in obj.id_columns]
         if not payload_cols:
@@ -563,7 +560,6 @@ class Router:
         scheme = shamir.ShareScheme(
             threshold=details["scheme"]["threshold"],
             share_count=details["scheme"]["share_count"],
-            field=_FIELD,
         )
         perm = details["sequence_permutation"]
         digests = details["chunk_digests"]
@@ -583,7 +579,7 @@ class Router:
                 shares.append(
                     shamir.Share(
                         x=loc["x"],
-                        payload=tuple(payload),
+                        payload=payload,
                         scheme=scheme,
                         object_id=f"{record.object_id}/s{slot}",
                     )
@@ -657,7 +653,8 @@ class Router:
         Raises:
             ValueError: rounds < 1.
             NotFound: unknown object id.
-            integrity.RoundExhausted: a column has no unused rounds left.
+            integrity.RoundExhausted: some column has fewer than ``rounds``
+                unused rounds left; nothing is challenged then.
         """
         if rounds < 1:
             raise ValueError(f"audit needs at least one round, got {rounds}")
@@ -701,6 +698,16 @@ class Router:
         ref = details["integrity_ref"]
         stored = self.keystore.get(ref)
         tables = [integrity.token_table_from_payload(p) for p in stored["tables"]]
+        # Refuse before any challenge leaves: challenges sent by an audit that
+        # then fails would never be recorded as spent.
+        for slot, (table, slot_info) in enumerate(zip(tables, details["slots"])):
+            for column in range(len(slot_info["shares"])):
+                left = table.rounds_left(column)
+                if left < rounds:
+                    raise integrity.RoundExhausted(
+                        f"slot {slot} column {column}: {left} rounds left, "
+                        f"{rounds} asked"
+                    )
         entries = []
         for slot, slot_info in enumerate(details["slots"]):
             table = tables[slot]
@@ -730,7 +737,7 @@ class Router:
                             )
                         )
                         continue
-                    value = integrity.parse_response(reply, table.field)
+                    value = integrity.parse_response(reply)
                     result = integrity.verify(table, round_index, column, value)
                     entries.append(
                         AuditEntry(

@@ -10,8 +10,11 @@ Share i carries q(i) for each byte position, evaluated at x = 1..n. Any
 x = 0; one share fewer is consistent with every candidate secret equally
 often and therefore says nothing about it.
 
-Shares are immutable values. A provider stores only a share's payload; the
-scheme, the evaluation point and the object id stay in the local manifest.
+A share's payload is bytes, one field element per secret byte, and is what
+a provider stores as is; the scheme, the evaluation point and the object id
+stay in the local manifest. Both directions work on all byte positions at
+once by indexing the field's ``add_table`` and ``mul_table`` with numpy
+arrays.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .field import BinaryField, FieldSpec
 
@@ -73,17 +78,9 @@ class Share:
     """One evaluation of the per-byte polynomials at point ``x``."""
 
     x: int
-    payload: tuple[int, ...]
+    payload: bytes
     scheme: ShareScheme
     object_id: str = ""
-
-
-def _eval_poly(coeffs: Sequence[int], x: int, f: FieldSpec) -> int:
-    # Horner, highest coefficient first.
-    acc = 0
-    for c in reversed(coeffs):
-        acc = f.add(f.mul(acc, x), c)
-    return acc
 
 
 def split(
@@ -113,17 +110,25 @@ def split(
     if not secret:
         raise ValueError("cannot split an empty secret")
     f = scheme.field
-    for b in secret:
-        f.check(b)
-    order = f.order
-    polys = []
-    for b in secret:
-        coeffs = [b] + [rng.randrange(order) for _ in range(scheme.threshold - 1)]
-        polys.append(coeffs)
+    f.check(max(secret))
+    data = np.frombuffer(secret, dtype=np.uint8)
+    draws = len(secret) * (scheme.threshold - 1)
+    # One randrange call per coefficient keeps the draw order, and lets a
+    # caller pin coefficients by overriding randrange alone.
+    coeffs = np.fromiter(
+        (rng.randrange(f.order) for _ in range(draws)), dtype=np.uint8, count=draws
+    ).reshape(len(secret), scheme.threshold - 1)
+    add, mul = f.add_table, f.mul_table
     shares = []
     for x in range(1, scheme.share_count + 1):
-        payload = tuple(_eval_poly(coeffs, x, f) for coeffs in polys)
-        shares.append(Share(x=x, payload=payload, scheme=scheme, object_id=object_id))
+        # Horner over every byte at once, highest coefficient first.
+        acc = np.zeros_like(data)
+        for j in reversed(range(scheme.threshold - 1)):
+            acc = add[mul[x][acc], coeffs[:, j]]
+        acc = add[mul[x][acc], data]
+        shares.append(
+            Share(x=x, payload=acc.tobytes(), scheme=scheme, object_id=object_id)
+        )
     return shares
 
 
@@ -172,10 +177,8 @@ def reconstruct(shares: Sequence[Share]) -> bytes:
             den = f.mul(den, f.sub(xj, xi))
         weights.append(f.mul(num, f.inv(den)))
 
-    out = []
-    for pos in range(len(first.payload)):
-        acc = 0
-        for w, s in zip(weights, use):
-            acc = f.add(acc, f.mul(w, s.payload[pos]))
-        out.append(acc)
-    return bytes(out)
+    add, mul = f.add_table, f.mul_table
+    acc = np.zeros(len(first.payload), dtype=np.uint8)
+    for w, s in zip(weights, use):
+        acc = add[acc, mul[w][np.frombuffer(s.payload, dtype=np.uint8)]]
+    return acc.tobytes()

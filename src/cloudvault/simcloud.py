@@ -147,7 +147,7 @@ class SimProvider:
         self._check_node(node)
         msg = integrity.parse_challenge(message)
         value = integrity.respond(self._served(node, blob_id), msg)
-        return integrity.encode_response(value, msg.field)
+        return integrity.encode_response(value)
 
     def inject(self, fault: Fault) -> None:
         """Activate a fault. Idempotent; injecting twice is one fault."""

@@ -173,7 +173,7 @@ def test_05_audit_detection_rate_tracks_sample_size():
     enc = integrity.encode(payload, m + parity)
     assert enc.column_length == length
     bad_column, bad_row = 1, 37
-    corrupted = bytearray(enc.column_bytes(bad_column))
+    corrupted = bytearray(enc.columns[bad_column])
     corrupted[bad_row] ^= 0x5A
 
     trials = 10_000
@@ -196,7 +196,7 @@ def test_05_audit_detection_rate_tracks_sample_size():
     full = integrity.precompute_tokens(enc, rounds=1, sample_size=length, master_key=master)
     failing = []
     for column in range(m + parity):
-        stored = bytes(corrupted) if column == bad_column else enc.column_bytes(column)
+        stored = bytes(corrupted) if column == bad_column else enc.columns[column]
         msg = integrity.challenge(full, 0, column)
         result = integrity.verify(full, 0, column, integrity.respond(stored, msg))
         if not result.intact:

@@ -274,6 +274,26 @@ def test_usage_errors_exit_two(tmp_path):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("put", "[]"),
+        ("put", "[1,2]"),
+        ("put", '{"a":1}'),
+        ("anonymize", "[1,2]"),
+    ],
+)
+def test_malformed_table_exits_one(tmp_path, capsys, command, text):
+    src = tmp_path / "table.json"
+    src.write_text(text)
+    args = {
+        "put": ["put", str(src), "--table", "--id-columns", "name", "--level", "secret"],
+        "anonymize": ["anonymize", str(src), "--id-columns", "name", "--out-dir", str(tmp_path)],
+    }[command]
+    assert main([*_paths(tmp_path), *args]) == 1
+    assert _kv(capsys.readouterr().err)["error"] == "ValueError"
+
+
 def test_missing_payload_file_exits_one(tmp_path, capsys):
     rc = main([*_paths(tmp_path), "put", str(tmp_path / "nope.bin"), "--level", "secret"])
     assert rc == 1

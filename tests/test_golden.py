@@ -1,0 +1,129 @@
+"""Byte-level pins on what crosses the provider boundary.
+
+The golden test puts secret objects through a seeded router and audits them,
+then hashes every provider's holdings, the manifest file, every challenge on
+the wire and the keystore's token state. Any change to share arithmetic,
+column layout, challenge encoding or manifest contents shows up here.
+
+The compatibility test reads stores written by an earlier release, whose
+token tables carry a ``"field": "00"`` key, through the CLI.
+"""
+
+import hashlib
+import json
+import random
+import shutil
+from pathlib import Path
+
+from cloudvault import simcloud
+from cloudvault.cli import main
+from cloudvault.config import default_settings
+from cloudvault.persistence import KeyStore, ManifestStore
+from cloudvault.router import DataObject, DispersalPolicy, OperationClass, Router, SecretLevel
+
+_SIZES = (1, 100, 4096, 22000, 70000)
+
+_PROVIDER_DIGESTS = {
+    "alpha": "3253f9cdfb2d8e7f289b8b9dcd1384d45a98ce891a0f30c9a2e477972fcffb45",
+    "beta": "120963687c8534a3c5019ebec46c6702368bdfa07697c4775b5baf82724633a9",
+    "delta": "ec79cb6821ee918d7279e85fbb8994aef7b9bb7c294866bc3c7d382abe9e7b04",
+    "epsilon": "541cab0275d22861101c481f325947ac908366f44f306129b2dcfac5b48f61ff",
+    "gamma": "84a3d5657d0ecbb0f492919214d6b2713bb2f8dd2d83ef47c73fce7bf49cf08c",
+}
+_MANIFEST_DIGEST = "f4f07c8af744f85c6a0b4eb00ee8371b9d8763f9b62d6c5e9eb709be04276964"
+_CHALLENGE_DIGEST = "57ff3495a46b0cfb552196ad402de32c70d2277ca5bcdda9b4b831fad60301f6"
+_TOKEN_STATE_DIGEST = "e497c07af9ec93797b91dcf81110e11601ffb44955c22b3dcea052fa6a44191c"
+
+
+def _framed(parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(len(part).to_bytes(8, "little"))
+        h.update(part)
+    return h.hexdigest()
+
+
+def test_golden_bytes(tmp_path, monkeypatch):
+    wire = []
+    respond = simcloud.SimProvider.respond_challenge
+
+    def recording(self, node, blob_id, message, credential=""):
+        wire.append(message)
+        return respond(self, node, blob_id, message, credential=credential)
+
+    monkeypatch.setattr(simcloud.SimProvider, "respond_challenge", recording)
+
+    settings = default_settings()
+    manifest_path = tmp_path / "m.cmf"
+    router = Router(
+        cloud=simcloud.SimCloud.build(settings.topology),
+        manifest=ManifestStore(manifest_path),
+        keystore=KeyStore(tmp_path / "k.cmf"),
+        policy=DispersalPolicy(),
+        profiles=settings.profiles,
+        rng=random.Random(7),
+    )
+    for size in _SIZES:
+        oid = f"golden-{size}"
+        payload = random.Random(f"golden:{size}").randbytes(size)
+        router.put(
+            DataObject(oid, payload, SecretLevel.SECRET, OperationClass.NO_OPERATIONS)
+        )
+        assert router.audit(oid, rounds=2).intact
+        assert router.get(oid) == payload
+
+    providers = {
+        pid: _framed(
+            part
+            for entry in router.cloud.insider_dump(pid)
+            for part in (entry.node.encode(), entry.blob_id.encode(), entry.data)
+        )
+        for pid in sorted(router.cloud.providers)
+    }
+    # Token state minus the field tag that older releases wrote.
+    token_state = [
+        json.dumps(
+            {
+                **r,
+                "data": [
+                    {k: v for k, v in t.items() if k != "field"}
+                    for t in r["data"]["tables"]
+                ],
+            },
+            sort_keys=True,
+        ).encode()
+        for r in router.keystore.log.records()
+    ]
+
+    assert len(wire) == 2 * 5 * (1 + 1 + 1 + 5 + 5)
+    assert providers == _PROVIDER_DIGESTS
+    assert hashlib.sha256(manifest_path.read_bytes()).hexdigest() == _MANIFEST_DIGEST
+    assert _framed(wire) == _CHALLENGE_DIGEST
+    assert _framed(token_state) == _TOKEN_STATE_DIGEST
+
+
+_COMPAT = Path(__file__).parent / "data" / "compat"
+
+
+def test_stores_from_an_earlier_release_still_get_and_audit(tmp_path, capsys):
+    # Written by the CLI of the earlier release with block = 256: object
+    # "compat" is random.Random("compat").randbytes(1200) in 4 chunks.
+    root = tmp_path / "compat"
+    shutil.copytree(_COMPAT, root)
+    with KeyStore(root / "keystore.cmf", writable=False) as ks:
+        assert {t["field"] for t in ks.get("itok:compat")["tables"]} == {"00"}
+    paths = [
+        "--manifest", str(root / "manifest.cmf"),
+        "--keystore", str(root / "keystore.cmf"),
+        "--state-dir", str(root / "state"),
+    ]
+
+    out = tmp_path / "compat.bin"
+    assert main([*paths, "get", "compat", "--out", str(out)]) == 0
+    assert out.read_bytes() == random.Random("compat").randbytes(1200)
+
+    capsys.readouterr()
+    assert main([*paths, "audit", "compat", "--rounds", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "checks=40" in lines
+    assert "intact=true" in lines

@@ -4,7 +4,7 @@ import struct
 
 import pytest
 
-from cloudvault.field import BinaryField, PrimeField
+from cloudvault.field import BinaryField
 from cloudvault.integrity import (
     InvalidChallenge,
     InvalidShape,
@@ -26,10 +26,7 @@ from cloudvault.integrity import (
     verify,
 )
 
-_GF = BinaryField()
-
-
-def _oracle_rows_coeffs(master_key: bytes, round_index: int, length: int, count: int, f):
+def _oracle_rows_coeffs(master_key: bytes, round_index: int, length: int, count: int):
     """Walks the documented derivation chain with nothing shared with the
     implementation beyond hashlib itself."""
     if len(master_key) > 64:
@@ -63,25 +60,24 @@ def _oracle_rows_coeffs(master_key: bytes, round_index: int, length: int, count:
     while len(seen) < count:
         seen.add(uniform(length))
     rows = tuple(sorted(seen))
-    coeffs = tuple(1 + uniform(f.order - 1) for _ in rows)
+    coeffs = tuple(1 + uniform(255) for _ in rows)
     return rows, coeffs
 
 
 def test_challenge_derivation_matches_independent_walk():
     rng = random.Random(31)
-    for f in (_GF, PrimeField(251)):
-        for _ in range(10):
-            key = rng.randbytes(rng.choice([16, 32, 100]))
-            rnd = rng.randrange(50)
-            length = rng.randrange(8, 200)
-            count = rng.randrange(1, min(length, 32) + 1)
-            assert derive_challenge(key, rnd, length, count, f) == _oracle_rows_coeffs(
-                key, rnd, length, count, f
-            )
+    for _ in range(10):
+        key = rng.randbytes(rng.choice([16, 32, 100]))
+        rnd = rng.randrange(50)
+        length = rng.randrange(8, 200)
+        count = rng.randrange(1, min(length, 32) + 1)
+        assert derive_challenge(key, rnd, length, count) == _oracle_rows_coeffs(
+            key, rnd, length, count
+        )
 
 
 def test_rows_sorted_distinct_coeffs_nonzero():
-    rows, coeffs = derive_challenge(b"k" * 32, 0, 64, 16, _GF)
+    rows, coeffs = derive_challenge(b"k" * 32, 0, 64, 16)
     assert list(rows) == sorted(set(rows))
     assert len(rows) == len(coeffs) == 16
     assert all(0 <= r < 64 for r in rows)
@@ -91,8 +87,8 @@ def test_rows_sorted_distinct_coeffs_nonzero():
 def test_same_round_same_challenge_for_all_columns():
     # Derivation depends on (key, round) only; tokens may differ per column
     # but the sampled rows and coefficients cannot.
-    a = derive_challenge(b"key" * 11, 7, 100, 10, _GF)
-    b = derive_challenge(b"key" * 11, 7, 100, 10, _GF)
+    a = derive_challenge(b"key" * 11, 7, 100, 10)
+    b = derive_challenge(b"key" * 11, 7, 100, 10)
     assert a == b
 
 
@@ -105,7 +101,7 @@ def test_encode_decode_round_trip():
         m = rng.randrange(1, 7)
         enc = encode(payload, m)
         assert len(enc.columns) == m
-        joined = b"".join(enc.column_bytes(i) for i in range(m))
+        joined = b"".join(enc.columns)
         assert len(joined) == m * enc.column_length
         assert joined[: len(payload)] == payload
         assert joined[len(payload) :] == bytes(len(joined) - len(payload))
@@ -114,14 +110,14 @@ def test_encode_decode_round_trip():
 def test_encode_pads_to_column_length():
     enc = encode(b"abcdefg", 3)
     assert enc.column_length == 3
-    assert [enc.column_bytes(i) for i in range(3)] == [b"abc", b"def", b"g\x00\x00"]
+    assert enc.columns == (b"abc", b"def", b"g\x00\x00")
 
 
 def test_column_major_layout():
     # Bytes fill columns top to bottom, columns left to right.
     enc = encode(bytes(range(6)), 2)
-    assert enc.columns[0] == (0, 1, 2)
-    assert enc.columns[1] == (3, 4, 5)
+    assert enc.columns[0] == bytes([0, 1, 2])
+    assert enc.columns[1] == bytes([3, 4, 5])
 
 
 def test_encode_shape_validation():
@@ -129,8 +125,6 @@ def test_encode_shape_validation():
         encode(b"", 2)
     with pytest.raises(InvalidShape):
         encode(b"data", 0)
-    with pytest.raises(InvalidShape):
-        encode(bytes([251]), 2, f=PrimeField(251))
 
 
 def test_token_count_is_columns_times_rounds():
@@ -146,7 +140,7 @@ def test_honest_response_verifies():
     enc = encode(rng.randbytes(200), 5)
     table = precompute_tokens(enc, 4, 8, key)
     for col in range(len(enc.columns)):
-        stored = enc.column_bytes(col)
+        stored = enc.columns[col]
         rnd = table.next_round(col)
         msg = challenge(table, rnd, col)
         assert verify(table, rnd, col, respond(stored, msg)).intact
@@ -157,7 +151,7 @@ def test_corrupted_response_fails_when_row_sampled():
     key = rng.randbytes(32)
     enc = encode(rng.randbytes(64), 3)
     table = precompute_tokens(enc, 1, enc.column_length, key)  # sample all rows
-    stored = bytearray(enc.column_bytes(0))
+    stored = bytearray(enc.columns[0])
     stored[5] ^= 0x41
     msg = challenge(table, 0, 0)
     assert not verify(table, 0, 0, respond(bytes(stored), msg)).intact
@@ -172,13 +166,13 @@ def test_detection_rate_is_sample_fraction():
     assert enc.column_length == 64
     column = enc.columns[0]
     for r in (8, 16, 32):
-        rows, coeffs = derive_challenge(key, 0, 64, r, _GF)
-        expected = column_token(column, rows, coeffs, _GF)
+        rows, coeffs = derive_challenge(key, 0, 64, r)
+        expected = column_token(column, rows, coeffs)
         detected = 0
         for pos in range(64):
-            tampered = list(column)
+            tampered = bytearray(column)
             tampered[pos] ^= 0x7
-            if column_token(tampered, rows, coeffs, _GF) != expected:
+            if column_token(tampered, rows, coeffs) != expected:
                 detected += 1
         assert detected == r
 
@@ -191,7 +185,7 @@ def test_challenge_consumed_once():
     msg = challenge(table, 0, 0)
     with pytest.raises(RoundExhausted):
         challenge(table, 0, 0)
-    value = respond(enc.column_bytes(0), msg)
+    value = respond(enc.columns[0], msg)
     assert verify(table, 0, 0, value).intact
     with pytest.raises(NoSuchChallenge):
         verify(table, 0, 0, value)
@@ -222,13 +216,27 @@ def test_challenge_wire_round_trip_and_no_secrets():
 
 
 def test_response_wire_round_trip():
-    for f in (_GF, PrimeField(251)):
-        assert parse_response(encode_response(200 % f.order, f), f) == 200 % f.order
+    for value in (0, 200, 255):
+        assert parse_response(encode_response(value)) == value
+    with pytest.raises(InvalidChallenge):
+        parse_response(b"\x01\x02")
+
+
+def _table():
+    rng = random.Random(47)
+    return precompute_tokens(encode(rng.randbytes(60), 3), 2, 4, rng.randbytes(32))
 
 
 def test_parse_challenge_rejects_garbage():
     with pytest.raises(InvalidChallenge):
         parse_challenge(b"AAAA" + bytes(20))
+    wire = serialize_challenge(challenge(_table(), 0, 0))
+    # Any field tag other than GF(2^8)'s 0x00, e.g. an old prime-field one.
+    for tag in (b"\x01", b"\xff"):
+        with pytest.raises(InvalidChallenge):
+            parse_challenge(wire[:4] + tag + wire[5:])
+    with pytest.raises(InvalidChallenge):
+        parse_challenge(wire[:10])
 
 
 def test_token_table_payload_round_trip_preserves_state():
@@ -237,17 +245,19 @@ def test_token_table_payload_round_trip_preserves_state():
     enc = encode(rng.randbytes(80), 3)
     table = precompute_tokens(enc, 3, 4, key)
     msg = challenge(table, 0, 0)
-    verify(table, 0, 0, respond(enc.column_bytes(0), msg))
+    verify(table, 0, 0, respond(enc.columns[0], msg))
     challenge(table, 0, 1)  # left pending on purpose
 
     payload = token_table_to_payload(table)
     assert "seeds" not in payload
+    assert "field" not in payload
     back = token_table_from_payload(payload)
     assert back.tokens == table.tokens
     assert back.issued == table.issued
     assert back.pending == table.pending
-    assert back.field == table.field
     assert back.master_key == table.master_key
+    # Payloads written by earlier releases also carry "field": "00".
+    assert token_table_from_payload({**payload, "field": "00"}) == back
     with pytest.raises(RoundExhausted):
         challenge(back, 0, 0)
 
@@ -262,4 +272,19 @@ def test_out_of_range_guards():
     with pytest.raises(OutOfRange):
         challenge(table, 9, 0)
     with pytest.raises(OutOfRange):
-        column_token((1, 2), (5,), (1,), _GF)
+        column_token(bytes([1, 2]), (5,), (1,))
+
+
+def test_tokens_match_scalar_field_sums():
+    gf = BinaryField()
+    rng = random.Random(48)
+    key = rng.randbytes(32)
+    enc = encode(rng.randbytes(300), 5)
+    table = precompute_tokens(enc, 6, 9, key)
+    for rnd in range(6):
+        rows, coeffs = derive_challenge(key, rnd, enc.column_length, 9)
+        for col, column in enumerate(enc.columns):
+            acc = 0
+            for r, c in zip(rows, coeffs):
+                acc = gf.add(acc, gf.mul(c, column[r]))
+            assert table.tokens[col][rnd] == acc

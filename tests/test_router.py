@@ -22,7 +22,7 @@ from cloudvault.router import (
     RoutingDecision,
     SecretLevel,
 )
-from cloudvault.simcloud import CorruptBlob, NodeUnavailable, SimCloud
+from cloudvault.simcloud import CorruptBlob, NodeUnavailable, SimCloud, SimProvider
 
 
 def _router(tmp_path, seed=1, **policy_kw):
@@ -211,6 +211,31 @@ def test_audit_consumes_rounds_and_persists(tmp_path):
     assert router.keystore.get("itok:o")["tables"][0]["issued"]
 
 
+def test_audit_beyond_the_round_budget_sends_nothing(tmp_path, monkeypatch):
+    router = _router(tmp_path, token_rounds=16)
+    payload = random.Random(7).randbytes(1000)
+    router.put(_obj("o", payload, SecretLevel.SECRET, OperationClass.NO_OPERATIONS))
+    assert router.audit("o", rounds=10).intact
+    before = len(router.keystore.log.records())
+    sent = []
+    respond = SimProvider.respond_challenge
+
+    def counting(self, *args, **kwargs):
+        sent.append(args)
+        return respond(self, *args, **kwargs)
+
+    monkeypatch.setattr(SimProvider, "respond_challenge", counting)
+    from cloudvault.integrity import RoundExhausted
+    with pytest.raises(RoundExhausted):
+        router.audit("o", rounds=7)
+    assert sent == []
+    assert len(router.keystore.log.records()) == before
+    # The six rounds left are still there, starting at round 10.
+    report = router.audit("o", rounds=6)
+    assert report.intact
+    assert sorted({e.round_index for e in report.entries}) == list(range(10, 16))
+
+
 @pytest.mark.parametrize("rounds", [0, -3])
 def test_audit_refuses_fewer_than_one_round(tmp_path, rounds):
     router = _router(tmp_path)
@@ -310,6 +335,15 @@ def test_table_requires_id_columns(tmp_path):
     router = _router(tmp_path)
     with pytest.raises(ValueError):
         router.put(_obj("t", [{"a": 1, "b": 2}], SecretLevel.SECRET, OperationClass.NO_OPERATIONS))
+
+
+def test_table_without_rows_refused(tmp_path):
+    router = _router(tmp_path)
+    with pytest.raises(ValueError):
+        router.put(
+            _obj("t", [], SecretLevel.SECRET, OperationClass.NO_OPERATIONS, id_columns=("a",))
+        )
+    assert router.manifest.object_ids() == []
 
 
 def test_table_at_homomorphic_tier_rejected(tmp_path):

@@ -38,7 +38,7 @@ def test_known_linear_polynomial_over_gf13():
 def test_single_share_is_uniform_over_gf13():
     """One share of a k=2 scheme fits every candidate secret equally often."""
     scheme = ShareScheme(threshold=2, share_count=3, field=PrimeField(13))
-    fixed = Share(x=1, payload=(8,), scheme=scheme)
+    fixed = Share(x=1, payload=bytes([8]), scheme=scheme)
     consistent = {s: 0 for s in range(13)}
     for secret in range(13):
         for a1 in range(13):
@@ -115,3 +115,23 @@ def test_reconstruct_uses_any_k_not_just_first_n():
     secret = rng.randbytes(8)
     shares = split(secret, ShareScheme(2, 5), rng)
     assert reconstruct([shares[4], shares[1]]) == secret
+
+
+@pytest.mark.parametrize("f", [BinaryField(), PrimeField(251)])
+def test_split_matches_scalar_horner(f):
+    """Shares equal per-byte Horner evaluation with scalar field ops, drawing
+    the coefficients byte-major from the same generator."""
+    secret = bytes(b % f.order for b in random.Random(18).randbytes(200))
+    scheme = ShareScheme(threshold=3, share_count=5, field=f)
+    shares = split(secret, scheme, random.Random(19))
+    replay = random.Random(19)
+    polys = [[b, replay.randrange(f.order), replay.randrange(f.order)] for b in secret]
+    for share in shares:
+        want = []
+        for coeffs in polys:
+            acc = 0
+            for c in reversed(coeffs):
+                acc = f.add(f.mul(acc, share.x), c)
+            want.append(acc)
+        assert share.payload == bytes(want)
+    assert reconstruct(shares[2:]) == secret

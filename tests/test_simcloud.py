@@ -86,11 +86,11 @@ def test_challenge_endpoint_matches_local_compute():
     table = integrity.precompute_tokens(enc, 2, 6, key)
     cloud = SimCloud.build(_TOPOLOGY)
     p = cloud.provider("alpha")
-    p.store_blob("n0", "col0", enc.column_bytes(0))
+    p.store_blob("n0", "col0", enc.columns[0])
     msg = integrity.challenge(table, 0, 0)
     reply = p.respond_challenge("n0", "col0", integrity.serialize_challenge(msg))
-    value = integrity.parse_response(reply, enc.field)
-    assert value == integrity.respond(enc.column_bytes(0), msg)
+    value = integrity.parse_response(reply)
+    assert value == integrity.respond(enc.columns[0], msg)
     assert integrity.verify(table, 0, 0, value).intact
 
 
@@ -101,12 +101,12 @@ def test_challenge_sees_injected_corruption():
     table = integrity.precompute_tokens(enc, 1, enc.column_length, key)
     cloud = SimCloud.build(_TOPOLOGY)
     p = cloud.provider("beta")
-    p.store_blob("n0", "col", enc.column_bytes(0))
+    p.store_blob("n0", "col", enc.columns[0])
     cloud.inject(CorruptBlob("beta", "n0", "col", offset=0, mask=0x10))
     msg = integrity.challenge(table, 0, 0)
     reply = p.respond_challenge("n0", "col", integrity.serialize_challenge(msg))
     assert not integrity.verify(
-        table, 0, 0, integrity.parse_response(reply, enc.field)
+        table, 0, 0, integrity.parse_response(reply)
     ).intact
 
 
