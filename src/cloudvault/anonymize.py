@@ -90,6 +90,26 @@ def row_digest(salt: bytes, values: Sequence[Cell], size: int = DEFAULT_DIGEST_S
     return hashlib.blake2b(_encode_identifier(values), key=key, digest_size=size).digest()
 
 
+def partition_columns(
+    rows: Sequence[Record], id_columns: Sequence[str], group_count: int
+) -> list[list[str]]:
+    """Deal the non-identifier columns of ``rows`` round-robin into groups.
+
+    Makes ``group_count`` groups, or fewer when there are fewer columns.
+
+    Raises:
+        ValueError: every column is an identifier.
+    """
+    payload_cols = [c for c in rows[0] if c not in id_columns]
+    if not payload_cols:
+        raise ValueError("nothing to split: every column is an identifier")
+    count = max(1, min(group_count, len(payload_cols)))
+    groups: list[list[str]] = [[] for _ in range(count)]
+    for i, col in enumerate(payload_cols):
+        groups[i % count].append(col)
+    return groups
+
+
 def anonymize_table(
     rows: Sequence[Record],
     id_columns: Sequence[str],
@@ -239,31 +259,34 @@ def parse_group(data: bytes) -> GroupData:
     """Inverse of ``serialize_group``. Raises ValueError on malformed input."""
     if data[:4] != GROUP_MAGIC:
         raise ValueError("bad group magic")
-    index, ncols = struct.unpack_from("<HH", data, 4)
-    off = 8
-    columns = []
-    for _ in range(ncols):
-        (ln,) = struct.unpack_from("<H", data, off)
-        off += 2
-        columns.append(data[off : off + ln].decode("utf-8"))
-        off += ln
-    (nrows,) = struct.unpack_from("<I", data, off)
-    off += 4
-    digests = []
-    rows = []
-    for _ in range(nrows):
-        (dlen,) = struct.unpack_from("<H", data, off)
-        off += 2
-        digests.append(data[off : off + dlen])
-        off += dlen
-        cells: list[Cell] = []
+    try:
+        index, ncols = struct.unpack_from("<HH", data, 4)
+        off = 8
+        columns = []
         for _ in range(ncols):
-            kind, ln = struct.unpack_from("<BI", data, off)
-            off += 5
-            text = data[off : off + ln].decode("utf-8")
+            (ln,) = struct.unpack_from("<H", data, off)
+            off += 2
+            columns.append(data[off : off + ln].decode("utf-8"))
             off += ln
-            cells.append(int(text) if kind == 1 else text)
-        rows.append(tuple(cells))
+        (nrows,) = struct.unpack_from("<I", data, off)
+        off += 4
+        digests = []
+        rows = []
+        for _ in range(nrows):
+            (dlen,) = struct.unpack_from("<H", data, off)
+            off += 2
+            digests.append(data[off : off + dlen])
+            off += dlen
+            cells: list[Cell] = []
+            for _ in range(ncols):
+                kind, ln = struct.unpack_from("<BI", data, off)
+                off += 5
+                text = data[off : off + ln].decode("utf-8")
+                off += ln
+                cells.append(int(text) if kind == 1 else text)
+            rows.append(tuple(cells))
+    except struct.error as e:
+        raise ValueError(f"truncated group payload: {e}") from None
     if off != len(data):
         raise ValueError("trailing bytes after group payload")
     return GroupData(

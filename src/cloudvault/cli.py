@@ -31,16 +31,9 @@ from pathlib import Path
 
 from . import anonymize, entropy_split, homomorphic, integrity, persistence, simcloud
 from .config import ConfigError, Settings, load_settings, parse_kv
-from .persistence import KeyStore, ManifestStore, scan_for_bytes
-from .ranking import rank_score
-from .router import (
-    DataObject,
-    DispersalPolicy,
-    OperationClass,
-    Router,
-    RouterError,
-    SecretLevel,
-)
+from .persistence import KeyStore, ManifestRecord, ManifestStore, scan_for_bytes
+from .ranking import order_fleet, rank_score
+from .router import DataObject, OperationClass, Router, RouterError, SecretLevel
 
 _KNOWN_ERRORS = (
     RouterError,
@@ -134,20 +127,6 @@ def _apply_overrides(settings: Settings, args: argparse.Namespace) -> Settings:
     return settings
 
 
-def _policy(settings: Settings) -> DispersalPolicy:
-    return DispersalPolicy(
-        threshold=settings.threshold,
-        share_count=settings.share_count,
-        chunk_count=settings.chunks,
-        block_size=settings.block,
-        token_rounds=settings.rounds,
-        audit_rows=settings.audit_rows,
-        he_bits=settings.he_bits,
-        weights=settings.weights,
-        credential=settings.credential,
-    )
-
-
 def _open_cloud(settings: Settings) -> simcloud.SimCloud:
     snapshot = Path(settings.state_dir) / "simcloud.json"
     if snapshot.exists():
@@ -163,7 +142,7 @@ def _open_router(settings: Settings, rng: random.Random) -> Router:
         cloud=cloud,
         manifest=manifest,
         keystore=keystore,
-        policy=_policy(settings),
+        policy=settings.policy,
         profiles=settings.profiles,
         rng=rng,
     )
@@ -253,19 +232,13 @@ def _cmd_audit(settings: Settings, args: argparse.Namespace) -> int:
 
 def _cmd_rank(settings: Settings, args: argparse.Namespace) -> int:
     del args
-    cloud = simcloud.SimCloud.build(settings.topology, credential=settings.credential)
-    router = Router(
-        cloud=cloud,
-        manifest=None,  # type: ignore[arg-type]  # ranking never touches the stores
-        keystore=None,  # type: ignore[arg-type]
-        policy=_policy(settings),
-        profiles=settings.profiles,
-    )
-    for i, pid in enumerate(router.ranked_providers(), start=1):
+    weights = settings.policy.weights
+    ranked = order_fleet(settings.topology, settings.profiles, weights)
+    for i, pid in enumerate(ranked, start=1):
         print(f"rank.{i}={pid}")
         profile = settings.profiles.get(pid)
         if profile is not None:
-            print(f"score.{i}={rank_score(profile, settings.weights):.6f}")
+            print(f"score.{i}={rank_score(profile, weights):.6f}")
     return 0
 
 
@@ -273,13 +246,7 @@ def _cmd_anonymize(settings: Settings, args: argparse.Namespace) -> int:
     raw = _read_payload(args.path)
     rows = _parse_table(raw)
     id_columns = tuple(c for c in args.id_columns.split(",") if c)
-    payload_cols = [c for c in rows[0].keys() if c not in id_columns]
-    if not payload_cols:
-        raise ValueError("nothing to split: every column is an identifier")
-    group_count = max(1, min(args.groups, len(payload_cols)))
-    groups: list[list[str]] = [[] for _ in range(group_count)]
-    for i, col in enumerate(payload_cols):
-        groups[i % group_count].append(col)
+    groups = anonymize.partition_columns(rows, id_columns, args.groups)
 
     rng = random.Random(f"{settings.seed}:{hashlib.sha256(raw).hexdigest()[:16]}")
     table = anonymize.anonymize_table(
@@ -318,9 +285,10 @@ def _scenario_payload(scenario: dict[str, str], seed: int) -> bytes:
 
 
 def _inject_faults(
-    cloud: simcloud.SimCloud, object_id: str, items: list[str]
+    router: Router, record: ManifestRecord, items: list[str]
 ) -> list[str]:
     """Apply scenario fault items; returns providers marked for insider dumps."""
+    cloud = router.cloud
     insiders = []
     for item in items:
         parts = item.split(":")
@@ -328,15 +296,14 @@ def _inject_faults(
         if kind == "unavailable":
             cloud.inject(simcloud.NodeUnavailable(provider=parts[1], node=parts[2]))
         elif kind == "corrupt":
-            provider = cloud.provider(parts[1])
-            owned = sorted(
-                (node, blob_id)
-                for (node, blob_id) in provider._blobs
-                if blob_id.startswith(object_id)
-            )
+            owned = [
+                (loc["node"], loc["blob_id"])
+                for loc in router.locations(record)
+                if loc["provider"] == parts[1]
+            ]
             if not owned:
-                raise ValueError(f"no blobs for {object_id!r} at {parts[1]!r}")
-            node, blob_id = owned[0]
+                raise ValueError(f"no blobs for {record.object_id!r} at {parts[1]!r}")
+            node, blob_id = min(owned)
             cloud.inject(
                 simcloud.CorruptBlob(
                     provider=parts[1], node=node, blob_id=blob_id, offset=0, mask=0xFF
@@ -392,7 +359,7 @@ def _cmd_simulate(settings: Settings, args: argparse.Namespace) -> int:
             cloud=cloud,
             manifest=ManifestStore(str(Path(tmp) / "manifest.cmf")),
             keystore=KeyStore(str(Path(tmp) / "keystore.cmf")),
-            policy=_policy(settings),
+            policy=settings.policy,
             profiles=settings.profiles,
             rng=random.Random(f"{settings.seed}:{object_id}"),
         )
@@ -406,7 +373,7 @@ def _cmd_simulate(settings: Settings, args: argparse.Namespace) -> int:
         print(f"pipeline={record.pipeline}")
 
         inject_items = [v for v in scenario.get("inject", "").split() if v]
-        _inject_faults(cloud, object_id, inject_items)
+        _inject_faults(router, record, inject_items)
 
         expectations = [v for v in scenario.get("expect", "").split() if v]
         all_ok = True

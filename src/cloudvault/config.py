@@ -43,6 +43,7 @@ from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
 from .ranking import ProviderProfile, Weights, normalize_fleet
+from .router import DispersalPolicy
 
 
 class ConfigError(Exception):
@@ -103,27 +104,20 @@ _PROVIDER_KEYS = {
 
 @dataclass
 class Settings:
-    """Everything the CLI and router need, with usable defaults."""
+    """Everything the CLI and router need, with usable defaults.
+
+    ``credential`` also lands in ``policy.credential``, which the router
+    presents to the providers.
+    """
 
     seed: int = 0
     credential: str = ""
     state_dir: str = "./simstate"
     manifest: str = "./manifest.cmf"
     keystore: str = "./keystore.cmf"
-    threshold: int | None = None
-    share_count: int | None = None
-    chunks: int | None = None
-    block: int = 4096
-    rounds: int = 16
-    audit_rows: int = 16
-    he_bits: int = 256
-    weights: Weights = dc_field(default_factory=lambda: Weights(1, 1, 1, 1))
+    policy: DispersalPolicy = dc_field(default_factory=DispersalPolicy)
     topology: dict[str, dict[str, int]] = dc_field(default_factory=dict)
     profiles: dict[str, ProviderProfile] = dc_field(default_factory=dict)
-
-    @property
-    def provider_ids(self) -> list[str]:
-        return list(self.topology)
 
 
 _DEFAULT_PROVIDERS = ("alpha", "beta", "gamma", "delta", "epsilon")
@@ -195,20 +189,22 @@ def settings_from_text(text: str) -> Settings:
     s.state_dir = kv.get("state_dir", s.state_dir)
     s.manifest = kv.get("manifest", s.manifest)
     s.keystore = kv.get("keystore", s.keystore)
-    s.threshold = geti("threshold", None)
-    s.share_count = geti("share_count", None)
-    s.chunks = geti("chunks", None)
-    s.block = geti("block", s.block)
-    s.rounds = geti("rounds", s.rounds)
-    s.audit_rows = geti("audit_rows", s.audit_rows)
-    s.he_bits = geti("he_bits", s.he_bits)
+    policy = s.policy
+    policy.credential = s.credential
+    policy.threshold = geti("threshold", None)
+    policy.share_count = geti("share_count", None)
+    policy.chunk_count = geti("chunks", None)
+    policy.block_size = geti("block", policy.block_size)
+    policy.token_rounds = geti("rounds", policy.token_rounds)
+    policy.audit_rows = geti("audit_rows", policy.audit_rows)
+    policy.he_bits = geti("he_bits", policy.he_bits)
 
     if "weights" in kv:
         parts = _split_list(kv["weights"])
         if len(parts) != 4:
             raise ConfigError("weights needs exactly four values")
         try:
-            s.weights = Weights(*(float(p) for p in parts))
+            policy.weights = Weights(*(float(p) for p in parts))
         except ValueError as e:
             raise ConfigError(f"bad weights: {e}")
 

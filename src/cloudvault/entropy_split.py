@@ -212,7 +212,7 @@ def reassemble(slot_chunks: Sequence[bytes], permutation: Sequence[int]) -> byte
     return b"".join(slot_chunks[s] for s in permutation)
 
 
-def recovery_probability(chunk_count: int, known_storage_set: bool = True) -> Fraction:
+def recovery_probability(chunk_count: int) -> Fraction:
     """Chance that a single uniformly guessed ordering rebuilds the file.
 
     An insider who captured the storage set must still name the true
@@ -223,5 +223,4 @@ def recovery_probability(chunk_count: int, known_storage_set: bool = True) -> Fr
     """
     if chunk_count < 1:
         raise ValueError("chunk count must be at least 1")
-    del known_storage_set  # outsiders do no better than the insider bound
     return Fraction(1, math.factorial(chunk_count))

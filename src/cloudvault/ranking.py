@@ -16,7 +16,7 @@ product.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 
 class RankingError(Exception):
@@ -102,6 +102,18 @@ def rank_providers(
 ) -> list[ProviderProfile]:
     """Best first; exact ties fall back to provider id so runs agree."""
     return sorted(profiles, key=lambda p: (-rank_score(p, weights), p.provider_id))
+
+
+def order_fleet(
+    provider_ids: Iterable[str],
+    profiles: Mapping[str, ProviderProfile],
+    weights: Weights,
+) -> list[str]:
+    """Profiled providers best first, then unprofiled ones by id."""
+    ids = sorted(provider_ids)
+    profiled = [profiles[p] for p in ids if p in profiles]
+    ranked = [p.provider_id for p in rank_providers(profiled, weights)]
+    return ranked + [p for p in ids if p not in profiles]
 
 
 def breach_probability(profile: ProviderProfile, depth: int) -> float:

@@ -31,7 +31,7 @@ from typing import Mapping
 
 from . import anonymize, entropy_split, homomorphic, integrity, shamir, simcloud
 from .persistence import KeyStore, ManifestRecord, ManifestStore, NotFound
-from .ranking import ProviderProfile, Weights, rank_providers
+from .ranking import ProviderProfile, Weights, order_fleet
 
 
 class RouterError(Exception):
@@ -196,11 +196,7 @@ class Router:
 
     def ranked_providers(self) -> list[str]:
         """Fleet ordered by weighted score; unprofiled providers rank last."""
-        ids = sorted(self.cloud.providers)
-        profiled = [self.profiles[p] for p in ids if p in self.profiles]
-        ranked = [p.provider_id for p in rank_providers(profiled, self.policy.weights)]
-        ranked += [p for p in ids if p not in self.profiles]
-        return ranked
+        return order_fleet(self.cloud.providers, self.profiles, self.policy.weights)
 
     def route(self, obj: DataObject) -> RoutingDecision:
         """Pure decision for any (level, operations) pair.
@@ -263,6 +259,8 @@ class Router:
         Raises:
             DuplicateObject: the id already has a manifest record.
             RouteRejected: routing decided on explicit rejection.
+            ValueError: an empty byte payload, or a table the pipeline
+                cannot store.
         """
         try:
             self.manifest.lookup(obj.object_id)
@@ -274,6 +272,8 @@ class Router:
         decision = self.route(obj)
         if decision.pipeline is Pipeline.REJECTED:
             raise RouteRejected(decision.reason)
+        if obj.kind == "bytes" and not obj.payload:
+            raise ValueError("refusing to store an empty payload")
 
         if decision.pipeline is Pipeline.LOCAL_ONLY:
             record = self._put_local(obj)
@@ -304,45 +304,35 @@ class Router:
             details=details,
         )
 
-    def _node_for(self, provider_id: str, slot: int) -> str:
-        nodes = sorted(self.cloud.provider(provider_id).nodes)
-        return nodes[slot % len(nodes)]
+    def _store(self, provider: str, slot: int, blob_id: str, data: bytes) -> dict:
+        """Store one blob on ``provider``'s node for ``slot``; returns its location."""
+        target = self.cloud.provider(provider)
+        nodes = sorted(target.nodes)
+        node = nodes[slot % len(nodes)]
+        target.store_blob(node, blob_id, data, credential=self.policy.credential)
+        return {"provider": provider, "node": node, "blob_id": blob_id}
 
     def _put_local(self, obj: DataObject) -> ManifestRecord:
         raw = self._payload_bytes(obj)
-        if not raw:
-            raise ValueError("refusing to store an empty payload")
         details = {"local_payload": base64.b64encode(raw).decode("ascii")}
         return self._record(obj, Pipeline.LOCAL_ONLY, _sha256(raw), details)
 
     def _put_plain(self, obj: DataObject, decision: RoutingDecision) -> ManifestRecord:
         raw = self._payload_bytes(obj)
-        if not raw:
-            raise ValueError("refusing to store an empty payload")
-        provider = decision.providers[0]
-        node = self._node_for(provider, 0)
-        blob_id = f"{obj.object_id}.blob"
-        self.cloud.provider(provider).store_blob(
-            node, blob_id, raw, credential=self.policy.credential
-        )
-        details = {"location": {"provider": provider, "node": node, "blob_id": blob_id}}
+        location = self._store(decision.providers[0], 0, f"{obj.object_id}.blob", raw)
+        details = {"location": location}
         return self._record(obj, Pipeline.PLAIN_SINGLE_CLOUD, _sha256(raw), details)
 
     def _put_homomorphic(self, obj: DataObject, decision: RoutingDecision) -> ManifestRecord:
-        raw = self._payload_bytes(obj)
-        if not raw:
-            raise ValueError("refusing to store an empty payload")
+        raw = obj.payload  # routing keeps tables out of this tier
         keypair = homomorphic.keygen(self.policy.he_bits, self.rng)
         blob = bytearray()
         for b in raw:
             ct = homomorphic.encrypt(keypair.public, b, self.rng)
             wire = homomorphic.serialize_ciphertext(ct)
             blob += len(wire).to_bytes(4, "little") + wire
-        provider = decision.providers[0]
-        node = self._node_for(provider, 0)
-        blob_id = f"{obj.object_id}.he"
-        self.cloud.provider(provider).store_blob(
-            node, blob_id, bytes(blob), credential=self.policy.credential
+        location = self._store(
+            decision.providers[0], 0, f"{obj.object_id}.he", bytes(blob)
         )
         key_ref = f"hekey:{obj.object_id}"
         self.keystore.put(
@@ -356,7 +346,7 @@ class Router:
             },
         )
         details = {
-            "location": {"provider": provider, "node": node, "blob_id": blob_id},
+            "location": location,
             "key_ref": key_ref,
             "count": len(raw),
             "fingerprint": keypair.public.fingerprint,
@@ -365,11 +355,8 @@ class Router:
 
     def _put_dispersed(self, obj: DataObject, decision: RoutingDecision) -> ManifestRecord:
         raw = obj.payload
-        if not raw:
-            raise ValueError("refusing to store an empty payload")
         k, n = decision.threshold, decision.share_count
-        providers = list(decision.providers)
-        ring = providers[:]
+        ring = list(decision.providers)
         self.rng.shuffle(ring)
 
         # Small payloads cannot honor the configured granularity; shrink the
@@ -391,25 +378,18 @@ class Router:
                 chunk, scheme, self.rng, object_id=f"{obj.object_id}/s{slot}"
             )
             enc = integrity.encode(b"".join(s.payload for s in shares), columns=n)
-            locations = []
-            for i, share in enumerate(shares):
-                provider = ring[(slot + i) % len(ring)]
-                node = self._node_for(provider, slot)
-                blob_id = f"{obj.object_id}.s{slot}.c{i}"
-                self.cloud.provider(provider).store_blob(
-                    node,
-                    blob_id,
-                    enc.columns[i],
-                    credential=self.policy.credential,
-                )
-                locations.append(
-                    {
-                        "provider": provider,
-                        "node": node,
-                        "blob_id": blob_id,
-                        "x": share.x,
-                    }
-                )
+            locations = [
+                {
+                    **self._store(
+                        ring[(slot + i) % len(ring)],
+                        slot,
+                        f"{obj.object_id}.s{slot}.c{i}",
+                        enc.columns[i],
+                    ),
+                    "x": share.x,
+                }
+                for i, share in enumerate(shares)
+            ]
             rows = min(self.policy.audit_rows, enc.column_length)
             table = integrity.precompute_tokens(
                 enc, self.policy.token_rounds, rows, master_key
@@ -439,31 +419,23 @@ class Router:
             raise ValueError("tabular objects must name their identifier columns")
         if not rows:
             raise ValueError("tabular objects need at least one row")
-        providers = list(decision.providers)
-        payload_cols = [c for c in rows[0].keys() if c not in obj.id_columns]
-        if not payload_cols:
-            raise ValueError("nothing to disperse: every column is an identifier")
-        group_count = min(len(providers), len(payload_cols))
-        groups: list[list[str]] = [[] for _ in range(group_count)]
-        for i, col in enumerate(payload_cols):
-            groups[i % group_count].append(col)
+        providers = decision.providers
+        groups = anonymize.partition_columns(rows, obj.id_columns, len(providers))
 
         salt = self.rng.randbytes(32)
         table = anonymize.anonymize_table(rows, obj.id_columns, groups, salt)
-        locations = []
-        for g in table.groups:
-            provider = providers[g.index % len(providers)]
-            node = self._node_for(provider, g.index)
-            blob_id = f"{obj.object_id}.g{g.index}"
-            self.cloud.provider(provider).store_blob(
-                node,
-                blob_id,
-                anonymize.serialize_group(g),
-                credential=self.policy.credential,
-            )
-            locations.append(
-                {"provider": provider, "node": node, "blob_id": blob_id, "group": g.index}
-            )
+        locations = [
+            {
+                **self._store(
+                    providers[g.index % len(providers)],
+                    g.index,
+                    f"{obj.object_id}.g{g.index}",
+                    anonymize.serialize_group(g),
+                ),
+                "group": g.index,
+            }
+            for g in table.groups
+        ]
 
         anonymize_ref = f"anon:{obj.object_id}"
         self.keystore.put(
@@ -499,47 +471,60 @@ class Router:
         Raises:
             NotFound: unknown object id.
             ReconstructionFailed: too few reachable shares or groups.
-            IntegrityViolation: rebuilt data fails every digest check.
+            IntegrityViolation: a stored blob is malformed, or rebuilt data
+                fails every digest check.
         """
         record = self.manifest.lookup(object_id)
         details = record.details
         pipeline = Pipeline(record.pipeline)
         kind = details.get("kind", "bytes")
 
+        if pipeline is Pipeline.SPLIT_SHARE_DISPERSE:
+            if kind == "table":
+                return self._get_anonymized(record)
+            return self._get_dispersed(record)
         if pipeline is Pipeline.LOCAL_ONLY:
             raw = base64.b64decode(details["local_payload"])
             self._check_digest(raw, record.object_digest, "local payload")
-            return json.loads(raw.decode("utf-8")) if kind == "table" else raw
+        else:
+            raw = self._open(record, self._fetch_or_fail(details["location"]))
+        return json.loads(raw.decode("utf-8")) if kind == "table" else raw
 
-        if pipeline is Pipeline.PLAIN_SINGLE_CLOUD:
-            raw = self._fetch_or_fail(details["location"])
-            self._check_digest(raw, record.object_digest, "stored blob")
-            return json.loads(raw.decode("utf-8")) if kind == "table" else raw
-
-        if pipeline is Pipeline.HOMOMORPHIC_STORE:
-            return self._get_homomorphic(record)
-
-        if kind == "table":
-            return self._get_anonymized(record)
-        return self._get_dispersed(record)
+    def locations(self, record: ManifestRecord) -> list[dict]:
+        """Every blob ``record`` placed with a provider, in placement order."""
+        details = record.details
+        if "location" in details:
+            return [details["location"]]
+        if "groups" in details:
+            return details["groups"]
+        return [loc for slot in details.get("slots", ()) for loc in slot["shares"]]
 
     def _check_digest(self, raw: bytes, digest: str, what: str) -> None:
         if _sha256(raw) != digest:
             raise IntegrityViolation(f"{what} does not match its recorded digest")
 
+    def _fetch(self, location: dict) -> bytes:
+        return self.cloud.provider(location["provider"]).fetch_blob(
+            location["node"], location["blob_id"], credential=self.policy.credential
+        )
+
     def _fetch_or_fail(self, location: dict) -> bytes:
         try:
-            return self.cloud.provider(location["provider"]).fetch_blob(
-                location["node"],
-                location["blob_id"],
-                credential=self.policy.credential,
-            )
+            return self._fetch(location)
         except simcloud.SimCloudError as e:
             raise ReconstructionFailed(f"cannot fetch {location['blob_id']}: {e}")
 
-    def _get_homomorphic(self, record: ManifestRecord) -> bytes:
-        details = record.details
-        blob = self._fetch_or_fail(details["location"])
+    def _open(self, record: ManifestRecord, blob: bytes) -> bytes:
+        """The payload of a single-blob object, checked against its digest."""
+        if record.pipeline == Pipeline.HOMOMORPHIC_STORE.value:
+            try:
+                blob = self._decrypt(record.details, blob)
+            except (ValueError, IndexError, homomorphic.HomomorphicError) as e:
+                raise IntegrityViolation(f"malformed homomorphic blob: {e!r}")
+        self._check_digest(blob, record.object_digest, "stored blob")
+        return blob
+
+    def _decrypt(self, details: dict, blob: bytes) -> bytes:
         key_data = self.keystore.get(details["key_ref"])
         p, q = int(key_data["p"], 16), int(key_data["q"], 16)
         keypair = homomorphic.KeyPair(public=homomorphic.PublicKey(n=p * q), p=p, q=q)
@@ -551,9 +536,7 @@ class Router:
             ct = homomorphic.parse_ciphertext(blob[off : off + ln], keypair.public)
             off += ln
             out.append(homomorphic.decrypt(keypair, ct))
-        raw = bytes(out)
-        self._check_digest(raw, record.object_digest, "decrypted payload")
-        return raw
+        return bytes(out)
 
     def _get_dispersed(self, record: ManifestRecord) -> bytes:
         details = record.details
@@ -571,9 +554,7 @@ class Router:
             shares = []
             for loc in slot_info["shares"]:
                 try:
-                    payload = self.cloud.provider(loc["provider"]).fetch_blob(
-                        loc["node"], loc["blob_id"], credential=self.policy.credential
-                    )
+                    payload = self._fetch(loc)
                 except simcloud.SimCloudError:
                     continue
                 shares.append(
@@ -615,7 +596,13 @@ class Router:
         fetched: dict[int, anonymize.GroupData] = {}
         for loc in details["groups"]:
             blob = self._fetch_or_fail(loc)
-            fetched[loc["group"]] = anonymize.parse_group(blob)
+            try:
+                group = anonymize.parse_group(blob)
+            except ValueError as e:
+                raise IntegrityViolation(f"malformed group {loc['blob_id']}: {e}")
+            if list(group.columns) != details["group_columns"][loc["group"]]:
+                raise IntegrityViolation(f"group {loc['blob_id']} has other columns")
+            fetched[loc["group"]] = group
 
         mapping = {
             bytes.fromhex(d): tuple(int(v) if kind == "i" else v for kind, v in ident)
@@ -636,19 +623,27 @@ class Router:
             column_order=tuple(key_data["column_order"]),
             local_mapping=mapping,
         )
-        rows = anonymize.rejoin(table, fetched)
+        try:
+            rows = anonymize.rejoin(table, fetched)
+        except (KeyError, anonymize.AnonymizeError) as e:
+            raise IntegrityViolation(f"fetched groups do not rejoin: {e!r}")
         self._check_digest(_table_bytes(rows), record.object_digest, "rejoined table")
         return rows
 
     # -- audit --------------------------------------------------------------
 
     def audit(self, object_id: str, rounds: int = 1) -> AuditReport:
-        """Challenge the stored columns and attribute any mismatch.
+        """Check what the holders store and attribute any mismatch.
 
-        For dispersed objects this runs ``rounds`` fresh token rounds per
-        stored column through the holders' challenge endpoints; consumed
-        round state is persisted back to the keystore. Pipelines without
-        token state fall back to a fetch-and-digest check.
+        * Dispersed bytes: ``rounds`` fresh token rounds per stored share,
+          through the holders' challenge endpoints; consumed round state is
+          persisted back to the keystore.
+        * Plain and homomorphic: one fetch, checked as ``get`` checks it
+          (SHA-256 against the recorded digest, after decrypting a
+          homomorphic blob).
+        * Table groups: one fetch each, for reachability only; a group
+          stores no digest of its own.
+        * Local-only: no remote blob, so no entries.
 
         Raises:
             ValueError: rounds < 1.
@@ -666,19 +661,18 @@ class Router:
             return self._audit_dispersed(record, rounds)
 
         entries = []
-        locations = []
-        if "location" in details:
-            locations = [details["location"]]
-        elif "groups" in details:
-            locations = details["groups"]
-        for loc in locations:
+        for loc in self.locations(record):
             try:
-                self.cloud.provider(loc["provider"]).fetch_blob(
-                    loc["node"], loc["blob_id"], credential=self.policy.credential
-                )
-                verdict = "intact"
+                blob = self._fetch(loc)
             except simcloud.SimCloudError:
                 verdict = "unreachable"
+            else:
+                verdict = "intact"
+                if pipeline is not Pipeline.SPLIT_SHARE_DISPERSE:
+                    try:
+                        self._open(record, blob)
+                    except IntegrityViolation:
+                        verdict = "corrupted"
             entries.append(
                 AuditEntry(
                     slot=loc.get("group", 0),
@@ -726,19 +720,11 @@ class Router:
                     except simcloud.SimCloudError:
                         # The round is spent either way; record the outage.
                         integrity.verify(table, round_index, column, -1)
-                        entries.append(
-                            AuditEntry(
-                                slot=slot,
-                                column=column,
-                                provider=loc["provider"],
-                                node=loc["node"],
-                                round_index=round_index,
-                                verdict="unreachable",
-                            )
-                        )
-                        continue
-                    value = integrity.parse_response(reply)
-                    result = integrity.verify(table, round_index, column, value)
+                        verdict = "unreachable"
+                    else:
+                        value = integrity.parse_response(reply)
+                        result = integrity.verify(table, round_index, column, value)
+                        verdict = "intact" if result.intact else "corrupted"
                     entries.append(
                         AuditEntry(
                             slot=slot,
@@ -746,7 +732,7 @@ class Router:
                             provider=loc["provider"],
                             node=loc["node"],
                             round_index=round_index,
-                            verdict="intact" if result.intact else "corrupted",
+                            verdict=verdict,
                         )
                     )
         self.keystore.put(

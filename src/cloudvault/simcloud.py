@@ -170,10 +170,6 @@ class SimProvider:
         self._faults.clear()
 
     @property
-    def faults(self) -> frozenset[Fault]:
-        return frozenset(self._faults)
-
-    @property
     def compromised(self) -> bool:
         return any(isinstance(f, InsiderDump) for f in self._faults)
 

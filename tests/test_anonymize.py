@@ -10,6 +10,7 @@ from cloudvault.anonymize import (
     UnknownDigest,
     anonymize_table,
     parse_group,
+    partition_columns,
     rejoin,
     row_digest,
     serialize_group,
@@ -23,6 +24,23 @@ _ROWS = [
 ]
 _IDS = ("name", "card")
 _GROUPS = [["diagnosis"], ["age", "city"]]
+
+
+def test_partition_columns_deals_round_robin():
+    assert partition_columns(_ROWS, _IDS, 2) == [["diagnosis", "city"], ["age"]]
+    # Never more groups than columns, never fewer than one.
+    assert partition_columns(_ROWS, _IDS, 5) == [["diagnosis"], ["age"], ["city"]]
+    assert partition_columns(_ROWS, _IDS, 0) == [["diagnosis", "age", "city"]]
+    with pytest.raises(ValueError, match="every column is an identifier"):
+        partition_columns(_ROWS, tuple(_ROWS[0]), 2)
+
+
+def test_truncated_group_raises_value_error():
+    table = anonymize_table(_ROWS, _IDS, _GROUPS, salt=b"s" * 16)
+    wire = serialize_group(table.groups[1])
+    for end in range(len(wire)):
+        with pytest.raises(ValueError):
+            parse_group(wire[:end])
 
 
 def test_round_trip():

@@ -308,3 +308,67 @@ def test_config_comes_from_environment_when_flag_absent(tmp_path, capsys, monkey
     kv = _kv(capsys.readouterr().out)
     assert kv["rank.1"] == "solo"
     assert "rank.2" not in kv
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        # A damaged blob: get refuses it, and so must the audit.
+        "payload_bytes = 64\nlevel = unclassified\ninject = corrupt:alpha\n"
+        "expect = get_fails audit_detects:alpha\n",
+        "payload_bytes = 16\nlevel = secret\nops = basic\ninject = corrupt:alpha\n"
+        "expect = get_fails audit_detects:alpha\n",
+    ],
+    ids=["plain", "homomorphic"],
+)
+def test_simulate_damaged_single_blob_fails_get_and_audit(tmp_path, capsys, scenario):
+    path = tmp_path / "scenario.txt"
+    path.write_text(scenario)
+    assert main([*_paths(tmp_path), "simulate", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "expect.get_fails=pass" in out
+    assert "expect.audit_detects:alpha=pass" in out
+    assert "scenario=pass" in out
+
+
+def test_get_of_a_damaged_table_group_exits_one(tmp_path, capsys):
+    rows = [
+        {"patient": "p1", "dose": 20, "site": "north"},
+        {"patient": "p2", "dose": 35, "site": "south"},
+        {"patient": "p3", "dose": 35, "site": "north"},
+    ]
+    src = tmp_path / "t.json"
+    src.write_text(json.dumps(rows))
+    put = ["put", str(src), "--level", "secret", "--table", "--id-columns", "patient"]
+    assert main([*_paths(tmp_path), *put, "--object-id", "t"]) == 0
+
+    state = str(tmp_path / "state")
+    cloud = simcloud.SimCloud.load(state)
+    ((pid, node),) = {
+        (pid, entry.node)
+        for pid in cloud.providers
+        for entry in cloud.insider_dump(pid)
+        if entry.blob_id == "t.g0"
+    }
+    cloud.inject(simcloud.CorruptBlob(pid, node, "t.g0", offset=13, mask=0x80))
+    cloud.save(state)
+    capsys.readouterr()
+
+    assert main([*_paths(tmp_path), "get", "t"]) == 1
+    assert _kv(capsys.readouterr().err)["error"] == "IntegrityViolation"
+
+
+@pytest.mark.parametrize("command", ["put", "anonymize"])
+def test_table_of_identifiers_only_exits_one(tmp_path, capsys, command):
+    src = tmp_path / "table.json"
+    src.write_text(json.dumps([{"name": "ann", "card": 1}]))
+    args = {
+        "put": ["put", str(src), "--table", "--id-columns", "name,card", "--level", "secret"],
+        "anonymize": ["anonymize", str(src), "--id-columns", "name,card",
+                      "--out-dir", str(tmp_path)],
+    }[command]
+    assert main([*_paths(tmp_path), *args]) == 1
+    err = _kv(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert "every column is an identifier" in err["message"]
+    assert not list(tmp_path.glob("table.g*"))

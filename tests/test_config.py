@@ -37,7 +37,7 @@ def test_default_settings_shape():
 def test_settings_scalars_survive_without_providers():
     s = settings_from_text("seed = 42\nblock = 128\n")
     assert s.seed == 42
-    assert s.block == 128
+    assert s.policy.block_size == 128
     assert len(s.topology) == 5  # default fleet fills in
 
 
@@ -93,7 +93,7 @@ def test_raw_metrics_normalized():
 
 def test_weights_parsed():
     s = settings_from_text("weights = 1, 2, 3, 4\n")
-    assert s.weights.privacy == pytest.approx(0.4)
+    assert s.policy.weights.privacy == pytest.approx(0.4)
 
 
 def test_load_settings_none_gives_defaults():

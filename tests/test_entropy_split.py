@@ -175,4 +175,3 @@ def test_recovery_probability_values():
     assert recovery_probability(1) == Fraction(1)
     assert recovery_probability(3) == Fraction(1, 6)
     assert recovery_probability(5) == Fraction(1, 120)
-    assert recovery_probability(5, known_storage_set=False) == Fraction(1, 120)

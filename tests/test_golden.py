@@ -3,7 +3,9 @@
 The golden test puts secret objects through a seeded router and audits them,
 then hashes every provider's holdings, the manifest file, every challenge on
 the wire and the keystore's token state. Any change to share arithmetic,
-column layout, challenge encoding or manifest contents shows up here.
+column layout, challenge encoding or manifest contents shows up here. A
+second golden test does the same for one object of every other pipeline:
+local, plain, homomorphic, and tables at every level.
 
 The compatibility test reads stores written by an earlier release, whose
 token tables carry a ``"field": "00"`` key, through the CLI.
@@ -43,6 +45,17 @@ def _framed(parts) -> str:
     return h.hexdigest()
 
 
+def _provider_digests(cloud) -> dict[str, str]:
+    return {
+        pid: _framed(
+            part
+            for entry in cloud.insider_dump(pid)
+            for part in (entry.node.encode(), entry.blob_id.encode(), entry.data)
+        )
+        for pid in sorted(cloud.providers)
+    }
+
+
 def test_golden_bytes(tmp_path, monkeypatch):
     wire = []
     respond = simcloud.SimProvider.respond_challenge
@@ -72,14 +85,7 @@ def test_golden_bytes(tmp_path, monkeypatch):
         assert router.audit(oid, rounds=2).intact
         assert router.get(oid) == payload
 
-    providers = {
-        pid: _framed(
-            part
-            for entry in router.cloud.insider_dump(pid)
-            for part in (entry.node.encode(), entry.blob_id.encode(), entry.data)
-        )
-        for pid in sorted(router.cloud.providers)
-    }
+    providers = _provider_digests(router.cloud)
     # Token state minus the field tag that older releases wrote.
     token_state = [
         json.dumps(
@@ -100,6 +106,56 @@ def test_golden_bytes(tmp_path, monkeypatch):
     assert hashlib.sha256(manifest_path.read_bytes()).hexdigest() == _MANIFEST_DIGEST
     assert _framed(wire) == _CHALLENGE_DIGEST
     assert _framed(token_state) == _TOKEN_STATE_DIGEST
+
+
+_ROWS = [
+    {"patient": f"p{i}", "dose": 10 * i + 5, "site": ("north", "south")[i % 2], "ward": i}
+    for i in range(3)
+]
+
+# (object id, payload, level, operations, identifier columns)
+_EVERY_PIPELINE = (
+    ("local", random.Random("golden:local").randbytes(300), "top-secret", "none", ()),
+    ("plain", random.Random("golden:plain").randbytes(300), "unclassified", "none", ()),
+    ("he", random.Random("golden:he").randbytes(24), "secret", "basic", ()),
+    ("t-secret", _ROWS, "secret", "none", ("patient",)),
+    ("t-top", _ROWS, "top-secret", "none", ("patient",)),
+    ("t-open", _ROWS, "unclassified", "none", ("patient",)),
+)
+
+_PIPELINE_PROVIDER_DIGESTS = {
+    "alpha": "cb701b7f7b504850fbae0c88c5c8df1624c7efac4a0b193a98c0b60458ed1145",
+    "beta": "64ae4ae5e32aa45299c97595b3a678b648b3272328a452fe1a6aed8e684a4ce9",
+    "delta": "6e15c1e6267b4f76adb5905ad6a3b2a185363c23b69b73ee2815df3dd328b534",
+    "epsilon": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "gamma": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+}
+_PIPELINE_MANIFEST_DIGEST = "7146dd6afd177047e6f2e89c730a91ec952999fc244af5aef359e463e001721f"
+_PIPELINE_KEYSTORE_DIGEST = "0ce7921050d0073d443e0e77f469928ab014167bb92728e05184cf8cb228344f"
+
+
+def test_golden_bytes_of_every_other_pipeline(tmp_path):
+    settings = default_settings()
+    manifest_path = tmp_path / "m.cmf"
+    keystore_path = tmp_path / "k.cmf"
+    router = Router(
+        cloud=simcloud.SimCloud.build(settings.topology),
+        manifest=ManifestStore(manifest_path),
+        keystore=KeyStore(keystore_path),
+        policy=DispersalPolicy(he_bits=64),
+        profiles=settings.profiles,
+        rng=random.Random(11),
+    )
+    for oid, payload, level, ops, id_columns in _EVERY_PIPELINE:
+        router.put(
+            DataObject(oid, payload, SecretLevel(level), OperationClass(ops), id_columns)
+        )
+        assert router.get(oid) == payload
+        assert router.audit(oid).intact
+
+    assert _provider_digests(router.cloud) == _PIPELINE_PROVIDER_DIGESTS
+    assert hashlib.sha256(manifest_path.read_bytes()).hexdigest() == _PIPELINE_MANIFEST_DIGEST
+    assert hashlib.sha256(keystore_path.read_bytes()).hexdigest() == _PIPELINE_KEYSTORE_DIGEST
 
 
 _COMPAT = Path(__file__).parent / "data" / "compat"

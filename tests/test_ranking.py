@@ -8,6 +8,7 @@ from cloudvault.ranking import (
     Weights,
     breach_probability,
     normalize_fleet,
+    order_fleet,
     rank_providers,
     rank_score,
 )
@@ -63,6 +64,17 @@ def test_ordering_and_tie_break():
     tied_b = _profile("bbb", 0.5, 0.5, 0.5, 0.5)
     ranked = rank_providers([tied_b, low, high, tied_a], w)
     assert [p.provider_id for p in ranked] == ["zeta", "aaa", "bbb", "alpha"]
+
+
+def test_order_fleet_puts_unprofiled_providers_last_by_id():
+    w = Weights(1, 1, 1, 1)
+    profiles = {
+        "zeta": _profile("zeta", 0.9, 0.9, 0.9, 0.9),
+        "alpha": _profile("alpha", 0.1, 0.1, 0.1, 0.1),
+    }
+    fleet = ["omega", "alpha", "beta", "zeta"]
+    assert order_fleet(fleet, profiles, w) == ["zeta", "alpha", "beta", "omega"]
+    assert order_fleet([], profiles, w) == []
 
 
 def test_profile_validation():

@@ -32,7 +32,7 @@ def _router(tmp_path, seed=1, **policy_kw):
         cloud=cloud,
         manifest=ManifestStore(str(tmp_path / "m.cmf")),
         keystore=KeyStore(str(tmp_path / "k.cmf")),
-        policy=DispersalPolicy(weights=s.weights, **policy_kw),
+        policy=DispersalPolicy(weights=s.policy.weights, **policy_kw),
         profiles=s.profiles,
         rng=random.Random(seed),
     )
@@ -379,3 +379,127 @@ def test_decision_is_pure_no_side_effects(tmp_path):
     assert d1 == d2
     assert not router.manifest.object_ids()
     assert all(not p._blobs for p in router.cloud.providers.values())
+
+
+@pytest.mark.parametrize(
+    "level, ops, suffix",
+    [
+        (SecretLevel.UNCLASSIFIED, OperationClass.NO_OPERATIONS, ".blob"),
+        (SecretLevel.SECRET, OperationClass.BASIC_OPERATIONS, ".he"),
+    ],
+)
+def test_audit_of_a_single_blob_checks_its_bytes(tmp_path, level, ops, suffix):
+    router = _router(tmp_path, he_bits=64)
+    rec = router.put(_obj("o", b"single holder", level, ops))
+    loc = rec.details["location"]
+    assert loc["blob_id"] == "o" + suffix
+    assert router.audit("o").intact
+
+    router.cloud.inject(
+        CorruptBlob(
+            provider=loc["provider"], node=loc["node"], blob_id=loc["blob_id"],
+            offset=7, mask=0x01,
+        )
+    )
+    with pytest.raises(IntegrityViolation):
+        router.get("o")
+    report = router.audit("o")
+    assert [(e.provider, e.node, e.verdict) for e in report.entries] == [
+        (loc["provider"], loc["node"], "corrupted")
+    ]
+
+
+def test_audit_of_local_and_table_objects(tmp_path):
+    router = _router(tmp_path)
+    router.put(_obj("l", b"eyes only", SecretLevel.TOP_SECRET, OperationClass.NO_OPERATIONS))
+    assert router.audit("l").entries == ()
+
+    rows = [{"id": "a", "x": 1, "y": 2}]
+    rec = router.put(
+        _obj("t", rows, SecretLevel.SECRET, OperationClass.NO_OPERATIONS, id_columns=("id",))
+    )
+    # Groups store no digest of their own, so a table audit sees reachability.
+    loc = rec.details["groups"][0]
+    router.cloud.inject(
+        CorruptBlob(
+            provider=loc["provider"], node=loc["node"], blob_id=loc["blob_id"],
+            offset=0, mask=0x01,
+        )
+    )
+    assert router.audit("t").intact
+    router.cloud.inject(NodeUnavailable(provider=loc["provider"], node=loc["node"]))
+    assert [e.verdict for e in router.audit("t").entries] == ["unreachable", "intact"]
+
+
+def test_locations_list_every_stored_blob(tmp_path):
+    router = _router(tmp_path, he_bits=64)
+    rows = [{"id": "a", "x": 1, "y": 2, "z": 3}]
+    objects = [
+        _obj("l", b"local", SecretLevel.TOP_SECRET, OperationClass.NO_OPERATIONS),
+        _obj("p", b"plain", SecretLevel.UNCLASSIFIED, OperationClass.NO_OPERATIONS),
+        _obj("h", b"he", SecretLevel.SECRET, OperationClass.BASIC_OPERATIONS),
+        _obj("d", random.Random(9).randbytes(3000), SecretLevel.SECRET,
+             OperationClass.NO_OPERATIONS),
+        _obj("t", rows, SecretLevel.SECRET, OperationClass.NO_OPERATIONS, id_columns=("id",)),
+    ]
+    listed = set()
+    for obj in objects:
+        rec = router.put(obj)
+        listed |= {
+            (loc["provider"], loc["node"], loc["blob_id"]) for loc in router.locations(rec)
+        }
+    stored = {
+        (pid, entry.node, entry.blob_id)
+        for pid in router.cloud.providers
+        for entry in router.cloud.insider_dump(pid)
+    }
+    assert listed == stored
+    assert router.locations(router.manifest.lookup("l")) == []
+
+
+def _flip_every_stored_byte(router, oid, payload):
+    """With one byte of one stored blob flipped, get returns the payload or
+    raises IntegrityViolation; every blob, offset and mask is tried."""
+    for loc in router.locations(router.manifest.lookup(oid)):
+        holder = router.cloud.provider(loc["provider"])
+        for offset in range(len(holder.fetch_blob(loc["node"], loc["blob_id"]))):
+            for mask in (0x80, 0x01):
+                fault = CorruptBlob(
+                    provider=loc["provider"], node=loc["node"], blob_id=loc["blob_id"],
+                    offset=offset, mask=mask,
+                )
+                router.cloud.inject(fault)
+                try:
+                    assert router.get(oid) == payload
+                except IntegrityViolation:
+                    pass
+                router.cloud.clear(fault)
+
+
+def test_damaged_table_group_is_an_integrity_violation(tmp_path):
+    router = _router(tmp_path)
+    rows = [
+        {"patient": f"p{i}", "dose": 10 * i, "site": ("north", "south")[i % 2]}
+        for i in range(3)
+    ]
+    router.put(
+        _obj("t", rows, SecretLevel.SECRET, OperationClass.NO_OPERATIONS,
+             id_columns=("patient",))
+    )
+    _flip_every_stored_byte(router, "t", rows)
+
+
+def test_damaged_homomorphic_blob_is_an_integrity_violation(tmp_path):
+    router = _router(tmp_path, he_bits=64)
+    router.put(_obj("h", b"abc", SecretLevel.SECRET, OperationClass.BASIC_OPERATIONS))
+    _flip_every_stored_byte(router, "h", b"abc")
+
+
+def test_table_of_identifiers_only_refused(tmp_path):
+    router = _router(tmp_path)
+    with pytest.raises(ValueError, match="every column is an identifier"):
+        router.put(
+            _obj("t", [{"a": 1, "b": 2}], SecretLevel.SECRET, OperationClass.NO_OPERATIONS,
+                 id_columns=("a", "b"))
+        )
+    assert router.manifest.object_ids() == []
