@@ -104,20 +104,21 @@ _PROVIDER_KEYS = {
 
 @dataclass
 class Settings:
-    """Everything the CLI and router need, with usable defaults.
-
-    ``credential`` also lands in ``policy.credential``, which the router
-    presents to the providers.
-    """
+    """Everything the CLI and router need, with usable defaults."""
 
     seed: int = 0
-    credential: str = ""
     state_dir: str = "./simstate"
     manifest: str = "./manifest.cmf"
     keystore: str = "./keystore.cmf"
     policy: DispersalPolicy = dc_field(default_factory=DispersalPolicy)
     topology: dict[str, dict[str, int]] = dc_field(default_factory=dict)
     profiles: dict[str, ProviderProfile] = dc_field(default_factory=dict)
+
+    @property
+    def credential(self) -> str:
+        """The ``credential`` key: what the simulated fleet is built with
+        and what the router presents, kept once in ``policy``."""
+        return self.policy.credential
 
 
 _DEFAULT_PROVIDERS = ("alpha", "beta", "gamma", "delta", "epsilon")
@@ -185,12 +186,11 @@ def settings_from_text(text: str) -> Settings:
             raise ConfigError(f"{key} must be an integer, got {kv[key]!r}")
 
     s.seed = geti("seed", 0)
-    s.credential = kv.get("credential", "")
     s.state_dir = kv.get("state_dir", s.state_dir)
     s.manifest = kv.get("manifest", s.manifest)
     s.keystore = kv.get("keystore", s.keystore)
     policy = s.policy
-    policy.credential = s.credential
+    policy.credential = kv.get("credential", "")
     policy.threshold = geti("threshold", None)
     policy.share_count = geti("share_count", None)
     policy.chunk_count = geti("chunks", None)

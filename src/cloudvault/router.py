@@ -173,6 +173,18 @@ def _table_bytes(rows: list) -> bytes:
     return json.dumps(rows, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
+def _parse_group(details: dict, loc: dict, blob: bytes) -> anonymize.GroupData:
+    """A fetched table group, or IntegrityViolation if it is malformed or
+    carries other columns than the manifest records for it."""
+    try:
+        group = anonymize.parse_group(blob)
+    except ValueError as e:
+        raise IntegrityViolation(f"malformed group {loc['blob_id']}: {e}")
+    if list(group.columns) != details["group_columns"][loc["group"]]:
+        raise IntegrityViolation(f"group {loc['blob_id']} has other columns")
+    return group
+
+
 class Router:
     """Binds a provider fleet, local stores, profiles and policy together."""
 
@@ -485,9 +497,11 @@ class Router:
             return self._get_dispersed(record)
         if pipeline is Pipeline.LOCAL_ONLY:
             raw = base64.b64decode(details["local_payload"])
-            self._check_digest(raw, record.object_digest, "local payload")
         else:
-            raw = self._open(record, self._fetch_or_fail(details["location"]))
+            raw = self._fetch_or_fail(details["location"])
+            if pipeline is Pipeline.HOMOMORPHIC_STORE:
+                raw = self._decrypt(details, raw)
+        self._check_digest(raw, record.object_digest, "payload")
         return json.loads(raw.decode("utf-8")) if kind == "table" else raw
 
     def locations(self, record: ManifestRecord) -> list[dict]:
@@ -514,28 +528,21 @@ class Router:
         except simcloud.SimCloudError as e:
             raise ReconstructionFailed(f"cannot fetch {location['blob_id']}: {e}")
 
-    def _open(self, record: ManifestRecord, blob: bytes) -> bytes:
-        """The payload of a single-blob object, checked against its digest."""
-        if record.pipeline == Pipeline.HOMOMORPHIC_STORE.value:
-            try:
-                blob = self._decrypt(record.details, blob)
-            except (ValueError, IndexError, homomorphic.HomomorphicError) as e:
-                raise IntegrityViolation(f"malformed homomorphic blob: {e!r}")
-        self._check_digest(blob, record.object_digest, "stored blob")
-        return blob
-
     def _decrypt(self, details: dict, blob: bytes) -> bytes:
         key_data = self.keystore.get(details["key_ref"])
         p, q = int(key_data["p"], 16), int(key_data["q"], 16)
         keypair = homomorphic.KeyPair(public=homomorphic.PublicKey(n=p * q), p=p, q=q)
         out = bytearray()
         off = 0
-        for _ in range(details["count"]):
-            ln = int.from_bytes(blob[off : off + 4], "little")
-            off += 4
-            ct = homomorphic.parse_ciphertext(blob[off : off + ln], keypair.public)
-            off += ln
-            out.append(homomorphic.decrypt(keypair, ct))
+        try:
+            for _ in range(details["count"]):
+                ln = int.from_bytes(blob[off : off + 4], "little")
+                off += 4
+                ct = homomorphic.parse_ciphertext(blob[off : off + ln], keypair.public)
+                off += ln
+                out.append(homomorphic.decrypt(keypair, ct))
+        except (ValueError, IndexError, homomorphic.HomomorphicError) as e:
+            raise IntegrityViolation(f"malformed homomorphic blob: {e!r}")
         return bytes(out)
 
     def _get_dispersed(self, record: ManifestRecord) -> bytes:
@@ -593,16 +600,10 @@ class Router:
     def _get_anonymized(self, record: ManifestRecord) -> list:
         details = record.details
         key_data = self.keystore.get(details["anonymize_ref"])
-        fetched: dict[int, anonymize.GroupData] = {}
-        for loc in details["groups"]:
-            blob = self._fetch_or_fail(loc)
-            try:
-                group = anonymize.parse_group(blob)
-            except ValueError as e:
-                raise IntegrityViolation(f"malformed group {loc['blob_id']}: {e}")
-            if list(group.columns) != details["group_columns"][loc["group"]]:
-                raise IntegrityViolation(f"group {loc['blob_id']} has other columns")
-            fetched[loc["group"]] = group
+        fetched = {
+            loc["group"]: _parse_group(details, loc, self._fetch_or_fail(loc))
+            for loc in details["groups"]
+        }
 
         mapping = {
             bytes.fromhex(d): tuple(int(v) if kind == "i" else v for kind, v in ident)
@@ -638,11 +639,15 @@ class Router:
         * Dispersed bytes: ``rounds`` fresh token rounds per stored share,
           through the holders' challenge endpoints; consumed round state is
           persisted back to the keystore.
-        * Plain and homomorphic: one fetch, checked as ``get`` checks it
-          (SHA-256 against the recorded digest, after decrypting a
-          homomorphic blob).
-        * Table groups: one fetch each, for reachability only; a group
-          stores no digest of its own.
+        * Plain: one fetch, checked as ``get`` checks it (SHA-256 against
+          the recorded digest).
+        * Homomorphic: one fetch, for reachability only. No digest of the
+          ciphertext is recorded, so checking the bytes would mean
+          decrypting the whole blob: one modular exponentiation per payload
+          byte, as much as a ``get`` costs.
+        * Table groups: one fetch each; a group must parse and carry the
+          columns the manifest records for it. A group stores no digest of
+          its own, so a damaged cell value is seen only by ``get``.
         * Local-only: no remote blob, so no entries.
 
         Raises:
@@ -668,11 +673,13 @@ class Router:
                 verdict = "unreachable"
             else:
                 verdict = "intact"
-                if pipeline is not Pipeline.SPLIT_SHARE_DISPERSE:
-                    try:
-                        self._open(record, blob)
-                    except IntegrityViolation:
-                        verdict = "corrupted"
+                try:
+                    if pipeline is Pipeline.PLAIN_SINGLE_CLOUD:
+                        self._check_digest(blob, record.object_digest, "payload")
+                    elif pipeline is Pipeline.SPLIT_SHARE_DISPERSE:
+                        _parse_group(details, loc, blob)
+                except IntegrityViolation:
+                    verdict = "corrupted"
             entries.append(
                 AuditEntry(
                     slot=loc.get("group", 0),

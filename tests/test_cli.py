@@ -313,21 +313,22 @@ def test_config_comes_from_environment_when_flag_absent(tmp_path, capsys, monkey
 @pytest.mark.parametrize(
     "scenario",
     [
-        # A damaged blob: get refuses it, and so must the audit.
+        # A damaged plain blob: get refuses it, and so does the audit.
         "payload_bytes = 64\nlevel = unclassified\ninject = corrupt:alpha\n"
         "expect = get_fails audit_detects:alpha\n",
+        # A damaged homomorphic blob: get reports it instead of crashing.
         "payload_bytes = 16\nlevel = secret\nops = basic\ninject = corrupt:alpha\n"
-        "expect = get_fails audit_detects:alpha\n",
+        "expect = get_fails\n",
     ],
     ids=["plain", "homomorphic"],
 )
-def test_simulate_damaged_single_blob_fails_get_and_audit(tmp_path, capsys, scenario):
+def test_simulate_damaged_single_blob(tmp_path, capsys, scenario):
     path = tmp_path / "scenario.txt"
     path.write_text(scenario)
     assert main([*_paths(tmp_path), "simulate", str(path)]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert "expect.get_fails=pass" in out
-    assert "expect.audit_detects:alpha=pass" in out
+    for expect in scenario.split("expect = ")[1].split():
+        assert f"expect.{expect}=pass" in out
     assert "scenario=pass" in out
 
 

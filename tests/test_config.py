@@ -41,6 +41,16 @@ def test_settings_scalars_survive_without_providers():
     assert len(s.topology) == 5  # default fleet fills in
 
 
+def test_credential_is_held_once_by_the_policy():
+    s = settings_from_text("credential = sesame\n")
+    assert s.policy.credential == "sesame"
+    assert s.credential == "sesame"
+    s.policy.credential = "other"
+    assert s.credential == "other"
+    with pytest.raises(AttributeError):
+        s.credential = "stale"
+
+
 def test_explicit_providers_parsed():
     s = settings_from_text(
         """

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from cloudvault import homomorphic
 from cloudvault.config import default_settings
 from cloudvault.persistence import KeyStore, ManifestStore, scan_for_bytes
 from cloudvault.router import (
@@ -381,18 +382,11 @@ def test_decision_is_pure_no_side_effects(tmp_path):
     assert all(not p._blobs for p in router.cloud.providers.values())
 
 
-@pytest.mark.parametrize(
-    "level, ops, suffix",
-    [
-        (SecretLevel.UNCLASSIFIED, OperationClass.NO_OPERATIONS, ".blob"),
-        (SecretLevel.SECRET, OperationClass.BASIC_OPERATIONS, ".he"),
-    ],
-)
-def test_audit_of_a_single_blob_checks_its_bytes(tmp_path, level, ops, suffix):
-    router = _router(tmp_path, he_bits=64)
-    rec = router.put(_obj("o", b"single holder", level, ops))
+def test_audit_of_a_plain_blob_checks_its_bytes(tmp_path):
+    router = _router(tmp_path)
+    rec = router.put(_obj("o", b"single holder", SecretLevel.UNCLASSIFIED,
+                          OperationClass.NO_OPERATIONS))
     loc = rec.details["location"]
-    assert loc["blob_id"] == "o" + suffix
     assert router.audit("o").intact
 
     router.cloud.inject(
@@ -409,6 +403,22 @@ def test_audit_of_a_single_blob_checks_its_bytes(tmp_path, level, ops, suffix):
     ]
 
 
+def test_audit_of_a_homomorphic_blob_fetches_without_decrypting(tmp_path, monkeypatch):
+    router = _router(tmp_path, he_bits=64)
+    rec = router.put(_obj("h", b"sum me", SecretLevel.SECRET, OperationClass.BASIC_OPERATIONS))
+    loc = rec.details["location"]
+
+    def no_decrypt(*args):
+        raise AssertionError("audit decrypted the blob")
+
+    monkeypatch.setattr(homomorphic, "decrypt", no_decrypt)
+    assert [(e.provider, e.verdict) for e in router.audit("h").entries] == [
+        (loc["provider"], "intact")
+    ]
+    router.cloud.inject(NodeUnavailable(provider=loc["provider"], node=loc["node"]))
+    assert [e.verdict for e in router.audit("h").entries] == ["unreachable"]
+
+
 def test_audit_of_local_and_table_objects(tmp_path):
     router = _router(tmp_path)
     router.put(_obj("l", b"eyes only", SecretLevel.TOP_SECRET, OperationClass.NO_OPERATIONS))
@@ -418,17 +428,17 @@ def test_audit_of_local_and_table_objects(tmp_path):
     rec = router.put(
         _obj("t", rows, SecretLevel.SECRET, OperationClass.NO_OPERATIONS, id_columns=("id",))
     )
-    # Groups store no digest of their own, so a table audit sees reachability.
-    loc = rec.details["groups"][0]
+    assert router.audit("t").intact
+    first, second = rec.details["groups"]
     router.cloud.inject(
         CorruptBlob(
-            provider=loc["provider"], node=loc["node"], blob_id=loc["blob_id"],
+            provider=first["provider"], node=first["node"], blob_id=first["blob_id"],
             offset=0, mask=0x01,
         )
     )
-    assert router.audit("t").intact
-    router.cloud.inject(NodeUnavailable(provider=loc["provider"], node=loc["node"]))
-    assert [e.verdict for e in router.audit("t").entries] == ["unreachable", "intact"]
+    assert [e.verdict for e in router.audit("t").entries] == ["corrupted", "intact"]
+    router.cloud.inject(NodeUnavailable(provider=second["provider"], node=second["node"]))
+    assert [e.verdict for e in router.audit("t").entries] == ["corrupted", "unreachable"]
 
 
 def test_locations_list_every_stored_blob(tmp_path):
@@ -493,6 +503,15 @@ def test_damaged_homomorphic_blob_is_an_integrity_violation(tmp_path):
     router = _router(tmp_path, he_bits=64)
     router.put(_obj("h", b"abc", SecretLevel.SECRET, OperationClass.BASIC_OPERATIONS))
     _flip_every_stored_byte(router, "h", b"abc")
+
+
+def test_damaged_local_key_is_not_blamed_on_the_provider(tmp_path):
+    router = _router(tmp_path, he_bits=64)
+    rec = router.put(_obj("h", b"abc", SecretLevel.SECRET, OperationClass.BASIC_OPERATIONS))
+    ref = rec.details["key_ref"]
+    router.keystore.put(ref, "homomorphic-private", {**router.keystore.get(ref), "p": "zz"})
+    with pytest.raises(ValueError):
+        router.get("h")
 
 
 def test_table_of_identifiers_only_refused(tmp_path):
