@@ -128,10 +128,10 @@ def _apply_overrides(settings: Settings, args: argparse.Namespace) -> Settings:
 
 
 def _open_cloud(settings: Settings) -> simcloud.SimCloud:
-    snapshot = Path(settings.state_dir) / "simcloud.json"
-    if snapshot.exists():
+    try:
         return simcloud.SimCloud.load(settings.state_dir)
-    return simcloud.SimCloud.build(settings.topology, credential=settings.credential)
+    except FileNotFoundError:
+        return simcloud.SimCloud.build(settings.topology, credential=settings.credential)
 
 
 def _open_router(settings: Settings, rng: random.Random) -> Router:
@@ -284,12 +284,9 @@ def _scenario_payload(scenario: dict[str, str], seed: int) -> bytes:
     return random.Random(f"payload:{seed}").randbytes(size)
 
 
-def _inject_faults(
-    router: Router, record: ManifestRecord, items: list[str]
-) -> list[str]:
-    """Apply scenario fault items; returns providers marked for insider dumps."""
+def _inject_faults(router: Router, record: ManifestRecord, items: list[str]) -> None:
+    """Apply scenario fault items."""
     cloud = router.cloud
-    insiders = []
     for item in items:
         parts = item.split(":")
         kind = parts[0]
@@ -311,10 +308,8 @@ def _inject_faults(
             )
         elif kind == "insider":
             cloud.inject(simcloud.InsiderDump(provider=parts[1]))
-            insiders.append(parts[1])
         else:
             raise ValueError(f"unknown fault kind {kind!r}")
-    return insiders
 
 
 def _check_expectation(
@@ -339,6 +334,8 @@ def _check_expectation(
         return any(e.provider == provider for e in report.corrupted)
     if name.startswith("insider_safe:"):
         provider = name.split(":", 1)[1]
+        if not router.cloud.provider(provider).compromised:
+            raise ValueError(f"{name} needs insider:{provider} among the faults")
         dump = router.cloud.insider_dump(provider)
         blob = b"".join(entry.data for entry in dump)
         return not scan_for_bytes(blob, payload)

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import base64
 import json
+import os
+import struct
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -47,6 +49,10 @@ class AuthFailed(SimCloudError):
     """Credential mismatch; stands in for real provider authentication."""
 
 
+class SnapshotCorrupt(SimCloudError):
+    """The provider snapshot is truncated or malformed."""
+
+
 @dataclass(frozen=True)
 class NodeUnavailable:
     provider: str
@@ -72,6 +78,11 @@ class InsiderDump:
 
 
 Fault = NodeUnavailable | CorruptBlob | InsiderDump
+_FAULT_KINDS = {k.__name__: k for k in (NodeUnavailable, CorruptBlob, InsiderDump)}
+
+_PACK = "simcloud.pack"
+_LEGACY = "simcloud.json"  # the snapshot older versions wrote
+_MAGIC = b"CVS1"
 
 
 @dataclass(frozen=True)
@@ -230,47 +241,79 @@ class SimCloud:
         return self.provider(provider_id).insider_dump()
 
     def save(self, directory: str | Path) -> None:
-        """Snapshot blobs and faults to a directory (used by the CLI between
-        invocations; the in-process objects remain the source of truth)."""
+        """Snapshot the fleet to ``simcloud.pack``: a magic, a 4-byte big-endian
+        header length, a JSON header, then the blob bytes in header order. It
+        is fsynced under a temp name and renamed over the old pack, so a crash
+        leaves the old snapshot or the new one; a legacy JSON one is removed."""
         root = Path(directory)
         root.mkdir(parents=True, exist_ok=True)
-        state: dict = {"providers": {}, "faults": []}
-        for pid, p in self.providers.items():
-            state["providers"][pid] = {
+        header: dict = {"providers": {}, "faults": []}
+        blobs = []
+        # Id order, as sort_keys orders the header, so bytes match entries.
+        for pid, p in sorted(self.providers.items()):
+            items = sorted(p._blobs.items())
+            header["providers"][pid] = {
                 "nodes": p.nodes,
                 "credential": p.credential,
-                "blobs": [
-                    {
-                        "node": node,
-                        "blob_id": blob_id,
-                        "data": base64.b64encode(data).decode("ascii"),
-                    }
-                    for (node, blob_id), data in sorted(p._blobs.items())
-                ],
+                "blobs": [[node, blob_id, len(data)] for (node, blob_id), data in items],
             }
+            blobs += [data for _, data in items]
             for fault in sorted(p._faults, key=repr):
-                entry = {"kind": type(fault).__name__, **fault.__dict__}
-                state["faults"].append(entry)
-        (root / "simcloud.json").write_text(json.dumps(state, indent=1, sort_keys=True))
+                header["faults"].append({"kind": type(fault).__name__, **fault.__dict__})
+        head = json.dumps(header, sort_keys=True).encode("utf-8")
+        tmp = root / (_PACK + ".tmp")
+        with open(tmp, "wb") as f:
+            f.write(_MAGIC + struct.pack(">I", len(head)) + head)
+            f.writelines(blobs)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, root / _PACK)
+        (root / _LEGACY).unlink(missing_ok=True)
 
     @classmethod
     def load(cls, directory: str | Path) -> "SimCloud":
+        """The fleet ``save`` wrote, providers in id order, read from the pack
+        or else from a legacy ``simcloud.json``. Raises FileNotFoundError when
+        there is neither and SnapshotCorrupt when the pack is damaged."""
         root = Path(directory)
-        state = json.loads((root / "simcloud.json").read_text())
+        try:
+            raw = memoryview((root / _PACK).read_bytes())
+        except FileNotFoundError:
+            return cls._load_legacy(root)
+        if len(raw) < 8 or raw[:4] != _MAGIC:
+            raise SnapshotCorrupt("not a provider snapshot")
+        end = 8 + struct.unpack_from(">I", raw, 4)[0]
+        if end > len(raw):
+            raise SnapshotCorrupt("header runs past the end of the snapshot")
+        try:
+            header = json.loads(bytes(raw[8:end]))
+            providers = []
+            for pid, pdata in header["providers"].items():
+                p = SimProvider(pid, pdata["nodes"], credential=pdata["credential"])
+                for node, blob_id, size in pdata["blobs"]:
+                    p._blobs[node, blob_id] = bytes(raw[end : end + size])
+                    end += size
+                providers.append(p)
+            if end != len(raw):
+                raise SnapshotCorrupt("blob sizes do not add up to the snapshot length")
+            return cls._restore(providers, header["faults"])
+        except (ValueError, KeyError, TypeError, AttributeError) as e:
+            raise SnapshotCorrupt(f"unreadable snapshot header: {e}") from None
+
+    @classmethod
+    def _load_legacy(cls, root: Path) -> "SimCloud":
+        state = json.loads((root / _LEGACY).read_text())
         providers = []
         for pid, pdata in state["providers"].items():
             p = SimProvider(pid, pdata["nodes"], credential=pdata["credential"])
             for blob in pdata["blobs"]:
                 p._blobs[(blob["node"], blob["blob_id"])] = base64.b64decode(blob["data"])
             providers.append(p)
+        return cls._restore(providers, state["faults"])
+
+    @classmethod
+    def _restore(cls, providers: list[SimProvider], faults: list[dict]) -> "SimCloud":
         cloud = cls(providers)
-        kinds = {
-            "NodeUnavailable": NodeUnavailable,
-            "CorruptBlob": CorruptBlob,
-            "InsiderDump": InsiderDump,
-        }
-        for entry in state["faults"]:
-            entry = dict(entry)
-            fault = kinds[entry.pop("kind")](**entry)
-            cloud.inject(fault)
+        for entry in faults:
+            cloud.inject(_FAULT_KINDS[entry.pop("kind")](**entry))
         return cloud

@@ -268,6 +268,47 @@ def test_simulate_exit_code_follows_expectations(tmp_path, capsys):
     assert "scenario=fail" in out
 
 
+def test_insider_safe_needs_the_provider_marked_insider(tmp_path, capsys):
+    scenario = tmp_path / "insider.txt"
+    scenario.write_text("payload_bytes = 256\nexpect = insider_safe:alpha\n")
+    assert main([*_paths(tmp_path), "simulate", str(scenario)]) == 1
+    assert _kv(capsys.readouterr().err)["error"] == "ValueError"
+
+    scenario.write_text(
+        "payload_bytes = 256\ninject = insider:alpha\nexpect = insider_safe:alpha\n"
+    )
+    assert main([*_paths(tmp_path), "simulate", str(scenario)]) == 0
+    assert "expect.insider_safe:alpha=pass" in capsys.readouterr().out
+
+
+def test_readme_scenario_passes(tmp_path, capsys):
+    cfg = tmp_path / "fleet.cfg"
+    # Five providers hold the five shares; sampling every row makes the
+    # audit's detection certain rather than probabilistic.
+    cfg.write_text("providers = arctic, boreal, cirrus, dune, ember\naudit_rows = 100000\n")
+    scenario = tmp_path / "outage.scn"
+    scenario.write_text(
+        "payload_bytes = 4096\nlevel = secret\n"
+        "inject = corrupt:arctic insider:boreal unavailable:cirrus:n0\n"
+        "expect = get_ok audit_detects:arctic insider_safe:boreal\n"
+    )
+    assert main(["--config", str(cfg), *_paths(tmp_path), "simulate", str(scenario)]) == 0
+    assert "scenario=pass" in capsys.readouterr().out
+
+
+def test_get_on_a_truncated_snapshot_exits_one(tmp_path, capsys):
+    src = tmp_path / "p.bin"
+    src.write_bytes(random.Random(15).randbytes(400))
+    assert main([*_paths(tmp_path), "put", str(src), "--level", "unclassified",
+                 "--object-id", "o"]) == 0
+    pack = tmp_path / "state" / "simcloud.pack"
+    pack.write_bytes(pack.read_bytes()[:-10])
+    capsys.readouterr()
+
+    assert main([*_paths(tmp_path), "get", "o"]) == 1
+    assert _kv(capsys.readouterr().err)["error"] == "SnapshotCorrupt"
+
+
 def test_usage_errors_exit_two(tmp_path):
     with pytest.raises(SystemExit) as err:
         main([*_paths(tmp_path), "put", "x.bin"])  # --level missing

@@ -1,4 +1,11 @@
+import base64
+import itertools
+import json
+import os
 import random
+import shutil
+import struct
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +17,7 @@ from cloudvault.simcloud import (
     NodeUnavailable,
     SimCloud,
     SimProvider,
+    SnapshotCorrupt,
     Unavailable,
     UnknownBlob,
     UnknownTarget,
@@ -130,14 +138,131 @@ def test_duplicate_provider_ids_refused():
         SimCloud([SimProvider("a", {"n0": 0}), SimProvider("a", {"n0": 0})])
 
 
-def test_save_load_round_trip(tmp_path):
-    cloud = SimCloud.build(_TOPOLOGY, credential="c")
-    p = cloud.provider("alpha")
-    p.store_blob("n0", "b", b"payload", credential="c")
+def _sample_fleet():
+    """Unsorted provider ids, an empty blob, a non-ASCII blob id, a provider
+    with no blobs, and one fault of each kind."""
+    cloud = SimCloud.build(
+        {"gamma": {"n0": 0, "deep": 3}, "alpha": {"n0": 0, "n1": 1}, "beta": {"n0": 0}},
+        credential="c",
+    )
+    alpha, gamma = cloud.provider("alpha"), cloud.provider("gamma")
+    alpha.store_blob("n0", "b", b"payload", credential="c")
+    alpha.store_blob("n1", "empty", b"", credential="c")
+    gamma.store_blob("deep", "blob-\u00e9\u6f22", bytes(range(256)), credential="c")
+    gamma.store_blob("n0", "a", b"\x00" * 40, credential="c")
     cloud.inject(NodeUnavailable(provider="beta", node="n0"))
+    cloud.inject(CorruptBlob("alpha", "n0", "b", offset=2, mask=0x0F))
+    cloud.inject(InsiderDump(provider="gamma"))
+    return cloud
+
+
+def _fleet_state(cloud):
+    return [
+        (pid, p.nodes, p.credential, dict(p._blobs), p._faults)
+        for pid, p in cloud.providers.items()
+    ]
+
+
+def test_save_load_round_trip(tmp_path):
+    cloud = _sample_fleet()
     cloud.save(tmp_path)
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["simcloud.pack"]
 
     back = SimCloud.load(tmp_path)
-    assert back.provider("alpha").fetch_blob("n0", "b", credential="c") == b"payload"
+    assert list(back.providers) == ["alpha", "beta", "gamma"]
+    assert _fleet_state(back) == sorted(_fleet_state(cloud))
+    assert back.provider("gamma").nodes == {"n0": 0, "deep": 3}
+    assert back.provider("alpha").fetch_blob("n1", "empty", credential="c") == b""
+    assert back.provider("alpha").fetch_blob("n0", "b", credential="c") == b"pavload"
+    assert back.provider("gamma").compromised
     with pytest.raises(Unavailable):
         back.provider("beta").fetch_blob("n0", "x", credential="c")
+
+    # Saving is deterministic, also for a fleet that was itself loaded.
+    first = (tmp_path / "simcloud.pack").read_bytes()
+    cloud.save(tmp_path)
+    assert (tmp_path / "simcloud.pack").read_bytes() == first
+    back.save(tmp_path / "again")
+    assert (tmp_path / "again" / "simcloud.pack").read_bytes() == first
+
+
+def test_load_without_a_snapshot_raises_file_not_found(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        SimCloud.load(tmp_path)
+    with pytest.raises(FileNotFoundError):
+        SimCloud.load(tmp_path / "missing")
+
+
+def test_legacy_json_snapshot_loads_and_is_replaced_by_the_pack(tmp_path):
+    legacy = Path(__file__).parent / "data" / "compat" / "state" / "simcloud.json"
+    state = json.loads(legacy.read_text())
+    shutil.copy(legacy, tmp_path / "simcloud.json")
+
+    cloud = SimCloud.load(tmp_path)
+    assert list(cloud.providers) == sorted(state["providers"])
+    for pid, pdata in state["providers"].items():
+        p = cloud.provider(pid)
+        assert p.nodes == pdata["nodes"] and p.credential == pdata["credential"]
+        assert p._blobs == {
+            (b["node"], b["blob_id"]): base64.b64decode(b["data"]) for b in pdata["blobs"]
+        }
+
+    cloud.save(tmp_path)
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["simcloud.pack"]
+    assert _fleet_state(SimCloud.load(tmp_path)) == _fleet_state(cloud)
+
+
+def test_damaged_pack_raises_snapshot_corrupt(tmp_path):
+    _sample_fleet().save(tmp_path)
+    pack = tmp_path / "simcloud.pack"
+    raw = pack.read_bytes()
+    end = 8 + struct.unpack(">I", raw[4:8])[0]
+    header = json.loads(raw[8:end])
+    blob_ends = list(
+        itertools.accumulate(
+            (size for p in header["providers"].values() for _, _, size in p["blobs"]),
+            initial=end,
+        )
+    )
+    sample = random.Random(5).sample(range(len(raw)), 40)
+    cuts = {0, 1, 3, 4, 7, 8, end - 1, end, *blob_ends, *sample}
+    # Every cut leaves blob sizes that sum past the remaining bytes.
+    damaged = [raw[:cut] for cut in sorted(cuts) if cut < len(raw)]
+    damaged += [
+        b"XXXX" + raw[4:],  # wrong magic
+        raw[:4] + struct.pack(">I", len(raw)) + raw[8:],  # header past the end
+        raw[:4] + struct.pack(">I", end - 9) + raw[8:],  # header cut short
+        raw + b"\x00",  # trailing bytes after the last blob
+    ]
+    for data in damaged:
+        pack.write_bytes(data)
+        with pytest.raises(SnapshotCorrupt):
+            SimCloud.load(tmp_path)
+
+
+def test_interrupted_save_leaves_the_previous_snapshot(tmp_path, monkeypatch):
+    before = _sample_fleet()
+    before.save(tmp_path)
+    (tmp_path / "unrelated.txt").write_text("keep")
+    files = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+
+    after = _sample_fleet()
+    after.provider("alpha").store_blob("n1", "new", b"x" * 500, credential="c")
+
+    def fail_fsync(fd):
+        raise OSError("disk gone")
+
+    monkeypatch.setattr(os, "fsync", fail_fsync)
+    with pytest.raises(OSError):
+        after.save(tmp_path)
+    monkeypatch.undo()
+
+    left = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+    assert "simcloud.pack.tmp" in left
+    del left["simcloud.pack.tmp"]
+    assert left == files
+    assert _fleet_state(SimCloud.load(tmp_path)) == sorted(_fleet_state(before))
+
+    after.save(tmp_path)
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["simcloud.pack", "unrelated.txt"]
+    assert _fleet_state(SimCloud.load(tmp_path)) == sorted(_fleet_state(after))
