@@ -34,13 +34,17 @@ same steps independently):
 
 A token is the GF(2^8) sum of coefficient * row byte over the sampled rows:
 one gather of those rows from every column and one ``mul_table`` lookup.
+
+A token table is immutable and ``challenge``/``verify`` are pure. Each round
+may be challenged only once; which rounds are spent is the caller's record
+(the router keeps one counter per object), not the table's.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -67,15 +71,11 @@ class InvalidChallenge(IntegrityError):
 
 
 class RoundExhausted(IntegrityError):
-    """The (round, column) pair was already challenged; rounds are one-shot."""
+    """An audit asks for more rounds than are left unspent; rounds are one-shot."""
 
 
 class OutOfRange(IntegrityError):
     """Round, column or row index outside the table or column."""
-
-
-class NoSuchChallenge(IntegrityError):
-    """verify() called for a pair that was never issued (or already settled)."""
 
 
 def _stream_key(key: bytes) -> bytes:
@@ -198,41 +198,20 @@ def column_token(column: bytes, rows: Sequence[int], coeffs: Sequence[int]) -> i
     return int(_tokens(stacked, rows, coeffs)[0])
 
 
-@dataclass
+@dataclass(frozen=True)
 class TokenTable:
-    """Local audit state for one encoded file: tokens plus round bookkeeping.
-
-    tokens[column][round] is the expected response. A (round, column) pair
-    can be challenged once and verified once; consumption is tracked here
-    and must be persisted by the caller between audits.
-    """
+    """Audit tokens for one encoded file: tokens[column][round] is the
+    expected response to that round's challenge of that column."""
 
     tokens: tuple[tuple[int, ...], ...]
     sample_size: int
     rounds: int
     column_length: int
     master_key: bytes
-    issued: set[tuple[int, int]] = dc_field(default_factory=set)
-    pending: set[tuple[int, int]] = dc_field(default_factory=set)
 
     @property
     def column_count(self) -> int:
         return len(self.tokens)
-
-    def rounds_left(self, column: int) -> int:
-        """Rounds not yet issued for ``column``."""
-        if not 0 <= column < self.column_count:
-            raise OutOfRange(f"no column {column}")
-        return sum((i, column) not in self.issued for i in range(self.rounds))
-
-    def next_round(self, column: int) -> int:
-        """Smallest round not yet issued for ``column``."""
-        if not 0 <= column < self.column_count:
-            raise OutOfRange(f"no column {column}")
-        for i in range(self.rounds):
-            if (i, column) not in self.issued:
-                return i
-        raise RoundExhausted(f"all {self.rounds} rounds spent for column {column}")
 
 
 @dataclass(frozen=True)
@@ -291,25 +270,24 @@ def precompute_tokens(
     )
 
 
-def challenge(table: TokenTable, round_index: int, column: int) -> ChallengeMessage:
-    """Issue the one-time challenge for (round, column).
-
-    Raises:
-        OutOfRange: unknown round or column.
-        RoundExhausted: the pair was already issued.
-    """
+def _check_range(table: TokenTable, round_index: int, column: int) -> None:
     if not 0 <= column < table.column_count:
         raise OutOfRange(f"no column {column}")
     if not 0 <= round_index < table.rounds:
         raise OutOfRange(f"no round {round_index}")
-    key = (round_index, column)
-    if key in table.issued:
-        raise RoundExhausted(f"round {round_index} already used for column {column}")
+
+
+def challenge(table: TokenTable, round_index: int, column: int) -> ChallengeMessage:
+    """The challenge for (round, column). Pure: the caller must send each
+    round at most once.
+
+    Raises:
+        OutOfRange: unknown round or column.
+    """
+    _check_range(table, round_index, column)
     rows, coeffs = derive_challenge(
         table.master_key, round_index, table.column_length, table.sample_size
     )
-    table.issued.add(key)
-    table.pending.add(key)
     return ChallengeMessage(
         round_index=round_index,
         column=column,
@@ -319,17 +297,13 @@ def challenge(table: TokenTable, round_index: int, column: int) -> ChallengeMess
 
 
 def verify(table: TokenTable, round_index: int, column: int, response: int) -> CheckResult:
-    """Settle an issued challenge against the precomputed token.
+    """Check a holder's response against the precomputed token.
 
     Raises:
-        NoSuchChallenge: nothing pending for the pair.
+        OutOfRange: unknown round or column.
     """
-    key = (round_index, column)
-    if key not in table.pending:
-        raise NoSuchChallenge(f"no open challenge for round {round_index}, column {column}")
-    table.pending.discard(key)
-    expected = table.tokens[column][round_index]
-    return CheckResult(intact=(response == expected), column=column)
+    _check_range(table, round_index, column)
+    return CheckResult(intact=response == table.tokens[column][round_index], column=column)
 
 
 def respond(stored: bytes, message: ChallengeMessage) -> int:
@@ -394,20 +368,17 @@ def token_table_to_payload(table: TokenTable) -> dict:
         "rounds": table.rounds,
         "column_length": table.column_length,
         "master_key": table.master_key.hex(),
-        "issued": sorted(list(p) for p in table.issued),
-        "pending": sorted(list(p) for p in table.pending),
     }
 
 
 def token_table_from_payload(payload: Mapping) -> TokenTable:
-    """Inverse of ``token_table_to_payload``. Ignores the ``"field"`` key
-    that earlier releases wrote; it always named GF(2^8)."""
+    """Inverse of ``token_table_to_payload``. Ignores the keys that earlier
+    releases wrote: ``"field"`` always named GF(2^8), and ``"issued"`` and
+    ``"pending"`` held round state that the router now keeps."""
     return TokenTable(
         tokens=tuple(tuple(col) for col in payload["tokens"]),
         sample_size=payload["sample_size"],
         rounds=payload["rounds"],
         column_length=payload["column_length"],
         master_key=bytes.fromhex(payload["master_key"]),
-        issued={tuple(p) for p in payload["issued"]},
-        pending={tuple(p) for p in payload["pending"]},
     )

@@ -37,7 +37,6 @@ import struct
 import zlib
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
-from typing import Iterator
 
 STORE_MAGIC = b"CMF1"
 
@@ -239,10 +238,10 @@ class ManifestStore:
 
     def __init__(self, path: str | Path, writable: bool = True, recover: bool = False):
         self.log = RecordLog(path, writable=writable, recover=recover)
-        # object id -> record payloads, oldest version first; ids in first-seen order.
-        self._versions: dict[str, list[dict]] = {}
+        # object id -> newest record payload.
+        self._latest: dict[str, dict] = {}
         for r in self.log.records():
-            self._versions.setdefault(r["object_id"], []).append(r)
+            self._latest[r["object_id"]] = r
 
     @property
     def tail_torn(self) -> bool:
@@ -250,7 +249,8 @@ class ManifestStore:
 
     def commit(self, record: ManifestRecord) -> ManifestRecord:
         """Append the next version of this object's record and return it."""
-        version = len(self._versions.get(record.object_id, ())) + 1
+        newest = self._latest.get(record.object_id)
+        version = newest["version"] + 1 if newest is not None else 1
         stamped = ManifestRecord(
             object_id=record.object_id,
             pipeline=record.pipeline,
@@ -262,20 +262,14 @@ class ManifestStore:
         )
         payload = stamped.to_payload()
         self.log.append(payload)
-        self._versions.setdefault(record.object_id, []).append(payload)
+        self._latest[record.object_id] = payload
         return stamped
 
-    def history(self, object_id: str) -> list[ManifestRecord]:
-        return [ManifestRecord.from_payload(r) for r in self._versions.get(object_id, ())]
-
     def lookup(self, object_id: str) -> ManifestRecord:
-        versions = self._versions.get(object_id)
-        if not versions:
+        newest = self._latest.get(object_id)
+        if newest is None:
             raise NotFound(f"no manifest record for {object_id!r}")
-        return ManifestRecord.from_payload(versions[-1])
-
-    def object_ids(self) -> list[str]:
-        return list(self._versions)
+        return ManifestRecord.from_payload(newest)
 
     def close(self) -> None:
         self.log.close()
@@ -288,13 +282,15 @@ class ManifestStore:
 
 
 class KeyStore:
-    """Versioned secret material (salts, master keys, private keys, token
-    state) over the same container format, in its own file, indexed by key
-    id."""
+    """Versioned secret material over the same container format, in its own
+    file, indexed by key id: salts and digest mappings (``anon:<id>``),
+    private keys (``hekey:<id>``), token tables with their master key
+    (``itok:<id>``, written once at put) and each object's count of spent
+    audit rounds (``iround:<id>``, one small record per audit)."""
 
     def __init__(self, path: str | Path, writable: bool = True, recover: bool = False):
         self.log = RecordLog(path, writable=writable, recover=recover)
-        # key id -> newest record; ids in first-seen order.
+        # key id -> newest record.
         self._latest: dict[str, dict] = {}
         for r in self.log.records():
             self._latest[r["key_id"]] = r
@@ -316,9 +312,6 @@ class KeyStore:
         if newest is None:
             raise NotFound(f"no key record for {key_id!r}")
         return newest["data"]
-
-    def iter_ids(self) -> Iterator[str]:
-        return iter(list(self._latest))
 
     def close(self) -> None:
         self.log.close()

@@ -637,8 +637,10 @@ class Router:
         """Check what the holders store and attribute any mismatch.
 
         * Dispersed bytes: ``rounds`` fresh token rounds per stored share,
-          through the holders' challenge endpoints; consumed round state is
-          persisted back to the keystore.
+          through the holders' challenge endpoints. The object's count of
+          spent rounds (keystore ``iround:<id>``) is raised and fsynced
+          before the first challenge leaves, so no round is sent twice, even
+          by an audit that is killed partway.
         * Plain: one fetch, checked as ``get`` checks it (SHA-256 against
           the recorded digest).
         * Homomorphic: one fetch, for reachability only. No digest of the
@@ -653,8 +655,8 @@ class Router:
         Raises:
             ValueError: rounds < 1.
             NotFound: unknown object id.
-            integrity.RoundExhausted: some column has fewer than ``rounds``
-                unused rounds left; nothing is challenged then.
+            integrity.RoundExhausted: fewer than ``rounds`` unspent rounds
+                are left; nothing is challenged or written then.
         """
         if rounds < 1:
             raise ValueError(f"audit needs at least one round, got {rounds}")
@@ -696,25 +698,33 @@ class Router:
 
     def _audit_dispersed(self, record: ManifestRecord, rounds: int) -> AuditReport:
         details = record.details
-        ref = details["integrity_ref"]
-        stored = self.keystore.get(ref)
+        stored = self.keystore.get(details["integrity_ref"])
         tables = [integrity.token_table_from_payload(p) for p in stored["tables"]]
-        # Refuse before any challenge leaves: challenges sent by an audit that
-        # then fails would never be recorded as spent.
-        for slot, (table, slot_info) in enumerate(zip(tables, details["slots"])):
-            for column in range(len(slot_info["shares"])):
-                left = table.rounds_left(column)
-                if left < rounds:
-                    raise integrity.RoundExhausted(
-                        f"slot {slot} column {column}: {left} rounds left, "
-                        f"{rounds} asked"
-                    )
+        # Every audit gives its rounds to every column of every slot in order
+        # from round 0, so one count of spent rounds is the object's whole
+        # audit state.
+        counter = f"iround:{record.object_id}"
+        try:
+            spent = self.keystore.get(counter)["spent"]
+        except NotFound:
+            # Earlier releases marked spent rounds in the tables themselves.
+            spent = 1 + max(
+                (r for p in stored["tables"] for r, _ in p.get("issued", ())), default=-1
+            )
+        budget = min(t.rounds for t in tables)
+        if spent + rounds > budget:
+            raise integrity.RoundExhausted(
+                f"{budget - spent} of {budget} rounds left, {rounds} asked"
+            )
+        # Write ahead: the rounds are spent before the first challenge leaves,
+        # so an audit killed midway can never send them again.
+        self.keystore.put(counter, "rounds", {"spent": spent + rounds})
+
         entries = []
         for slot, slot_info in enumerate(details["slots"]):
             table = tables[slot]
             for column, loc in enumerate(slot_info["shares"]):
-                for _ in range(rounds):
-                    round_index = table.next_round(column)
+                for round_index in range(spent, spent + rounds):
                     msg = integrity.challenge(table, round_index, column)
                     wire = integrity.serialize_challenge(msg)
                     try:
@@ -725,8 +735,6 @@ class Router:
                             credential=self.policy.credential,
                         )
                     except simcloud.SimCloudError:
-                        # The round is spent either way; record the outage.
-                        integrity.verify(table, round_index, column, -1)
                         verdict = "unreachable"
                     else:
                         value = integrity.parse_response(reply)
@@ -742,11 +750,6 @@ class Router:
                             verdict=verdict,
                         )
                     )
-        self.keystore.put(
-            ref,
-            "integrity-tokens",
-            {"tables": [integrity.token_table_to_payload(t) for t in tables]},
-        )
         return AuditReport(
             object_id=record.object_id, pipeline=record.pipeline, entries=tuple(entries)
         )

@@ -2,17 +2,18 @@
 
 The golden test puts secret objects through a seeded router and audits them,
 then hashes every provider's holdings, the manifest file, every challenge on
-the wire and the keystore's token state. Any change to share arithmetic,
-column layout, challenge encoding or manifest contents shows up here. A
-second golden test does the same for one object of every other pipeline:
-local, plain, homomorphic, and tables at every level.
+the wire and the keystore file, which holds the token tables and the
+spent-round counters. Any change to share arithmetic, column layout,
+challenge encoding or manifest contents shows up here. A second golden test
+does the same for one object of every other pipeline: local, plain,
+homomorphic, and tables at every level.
 
-The compatibility test reads stores written by an earlier release, whose
-token tables carry a ``"field": "00"`` key, through the CLI.
+The compatibility tests read stores written by an earlier release, whose
+token tables carry a ``"field": "00"`` key and mark spent rounds inside
+themselves, through the CLI.
 """
 
 import hashlib
-import json
 import random
 import shutil
 from pathlib import Path
@@ -20,6 +21,7 @@ from pathlib import Path
 from cloudvault import simcloud
 from cloudvault.cli import main
 from cloudvault.config import default_settings
+from cloudvault.integrity import parse_challenge
 from cloudvault.persistence import KeyStore, ManifestStore
 from cloudvault.router import DataObject, DispersalPolicy, OperationClass, Router, SecretLevel
 
@@ -34,7 +36,7 @@ _PROVIDER_DIGESTS = {
 }
 _MANIFEST_DIGEST = "f4f07c8af744f85c6a0b4eb00ee8371b9d8763f9b62d6c5e9eb709be04276964"
 _CHALLENGE_DIGEST = "57ff3495a46b0cfb552196ad402de32c70d2277ca5bcdda9b4b831fad60301f6"
-_TOKEN_STATE_DIGEST = "e497c07af9ec93797b91dcf81110e11601ffb44955c22b3dcea052fa6a44191c"
+_TOKEN_STATE_DIGEST = "b036d4bc4f59c32e22f5c5d54d4ad4e351042171da912eb9ee2370d631a28b10"
 
 
 def _framed(parts) -> str:
@@ -68,10 +70,11 @@ def test_golden_bytes(tmp_path, monkeypatch):
 
     settings = default_settings()
     manifest_path = tmp_path / "m.cmf"
+    keystore_path = tmp_path / "k.cmf"
     router = Router(
         cloud=simcloud.SimCloud.build(settings.topology),
         manifest=ManifestStore(manifest_path),
-        keystore=KeyStore(tmp_path / "k.cmf"),
+        keystore=KeyStore(keystore_path),
         policy=DispersalPolicy(),
         profiles=settings.profiles,
         rng=random.Random(7),
@@ -86,26 +89,18 @@ def test_golden_bytes(tmp_path, monkeypatch):
         assert router.get(oid) == payload
 
     providers = _provider_digests(router.cloud)
-    # Token state minus the field tag that older releases wrote.
-    token_state = [
-        json.dumps(
-            {
-                **r,
-                "data": [
-                    {k: v for k, v in t.items() if k != "field"}
-                    for t in r["data"]["tables"]
-                ],
-            },
-            sort_keys=True,
-        ).encode()
-        for r in router.keystore.log.records()
-    ]
+    # The keystore holds only token state here: one token-table record per
+    # object, then one spent-rounds counter record per audit.
+    assert [r["key_id"].split(":")[0] for r in router.keystore.log.records()] == [
+        "itok",
+        "iround",
+    ] * len(_SIZES)
 
     assert len(wire) == 2 * 5 * (1 + 1 + 1 + 5 + 5)
     assert providers == _PROVIDER_DIGESTS
     assert hashlib.sha256(manifest_path.read_bytes()).hexdigest() == _MANIFEST_DIGEST
     assert _framed(wire) == _CHALLENGE_DIGEST
-    assert _framed(token_state) == _TOKEN_STATE_DIGEST
+    assert hashlib.sha256(keystore_path.read_bytes()).hexdigest() == _TOKEN_STATE_DIGEST
 
 
 _ROWS = [
@@ -183,3 +178,53 @@ def test_stores_from_an_earlier_release_still_get_and_audit(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert "checks=40" in lines
     assert "intact=true" in lines
+
+
+_COMPAT_AUDITED = Path(__file__).parent / "data" / "compat-audited"
+
+
+def test_audited_store_from_an_earlier_release_never_replays_a_round(
+    tmp_path, capsys, monkeypatch
+):
+    # Written by the CLI of the earlier release with block = 256: object
+    # "audited" is random.Random("compat-audited").randbytes(1000) in 3
+    # chunks of 5 shares, then audited with --rounds 3. That release marked
+    # rounds 0-2 of every column as issued inside the token tables.
+    root = tmp_path / "compat-audited"
+    shutil.copytree(_COMPAT_AUDITED, root)
+    with KeyStore(root / "keystore.cmf", writable=False) as ks:
+        tables = ks.get("itok:audited")["tables"]
+        assert {r for t in tables for r, _ in t["issued"]} == {0, 1, 2}
+        assert {t["rounds"] for t in tables} == {16}
+    paths = [
+        "--manifest", str(root / "manifest.cmf"),
+        "--keystore", str(root / "keystore.cmf"),
+        "--state-dir", str(root / "state"),
+    ]
+    wire = []
+    respond = simcloud.SimProvider.respond_challenge
+
+    def recording(self, node, blob_id, message, credential=""):
+        wire.append(message)
+        return respond(self, node, blob_id, message, credential=credential)
+
+    monkeypatch.setattr(simcloud.SimProvider, "respond_challenge", recording)
+
+    assert main([*paths, "audit", "audited", "--rounds", "14"]) == 1
+    assert "error=RoundExhausted" in capsys.readouterr().err.splitlines()
+    assert wire == []
+
+    assert main([*paths, "audit", "audited", "--rounds", "13"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "checks=195" in lines
+    assert "intact=true" in lines
+    assert sorted({parse_challenge(m).round_index for m in wire}) == list(range(3, 16))
+
+    wire.clear()
+    assert main([*paths, "audit", "audited"]) == 1
+    assert "error=RoundExhausted" in capsys.readouterr().err.splitlines()
+    assert wire == []
+
+    out = tmp_path / "audited.bin"
+    assert main([*paths, "get", "audited", "--out", str(out)]) == 0
+    assert out.read_bytes() == random.Random("compat-audited").randbytes(1000)

@@ -8,9 +8,7 @@ from cloudvault.field import BinaryField
 from cloudvault.integrity import (
     InvalidChallenge,
     InvalidShape,
-    NoSuchChallenge,
     OutOfRange,
-    RoundExhausted,
     challenge,
     column_token,
     derive_challenge,
@@ -141,9 +139,9 @@ def test_honest_response_verifies():
     table = precompute_tokens(enc, 4, 8, key)
     for col in range(len(enc.columns)):
         stored = enc.columns[col]
-        rnd = table.next_round(col)
-        msg = challenge(table, rnd, col)
-        assert verify(table, rnd, col, respond(stored, msg)).intact
+        for rnd in range(table.rounds):
+            msg = challenge(table, rnd, col)
+            assert verify(table, rnd, col, respond(stored, msg)).intact
 
 
 def test_corrupted_response_fails_when_row_sampled():
@@ -177,29 +175,20 @@ def test_detection_rate_is_sample_fraction():
         assert detected == r
 
 
-def test_challenge_consumed_once():
+def test_challenge_and_verify_are_pure():
+    # Which rounds are spent is the router's record; the table never changes.
     rng = random.Random(39)
     key = rng.randbytes(32)
     enc = encode(rng.randbytes(40), 2)
     table = precompute_tokens(enc, 2, 4, key)
+    snapshot = token_table_to_payload(table)
     msg = challenge(table, 0, 0)
-    with pytest.raises(RoundExhausted):
-        challenge(table, 0, 0)
+    assert challenge(table, 0, 0) == msg
     value = respond(enc.columns[0], msg)
     assert verify(table, 0, 0, value).intact
-    with pytest.raises(NoSuchChallenge):
-        verify(table, 0, 0, value)
-
-
-def test_rounds_exhaust():
-    rng = random.Random(40)
-    key = rng.randbytes(32)
-    enc = encode(rng.randbytes(40), 1)
-    table = precompute_tokens(enc, 2, 4, key)
-    for _ in range(2):
-        challenge(table, table.next_round(0), 0)
-    with pytest.raises(RoundExhausted):
-        table.next_round(0)
+    assert verify(table, 0, 0, value).intact
+    assert not verify(table, 0, 0, value ^ 1).intact
+    assert token_table_to_payload(table) == snapshot
 
 
 def test_challenge_wire_round_trip_and_no_secrets():
@@ -244,22 +233,15 @@ def test_token_table_payload_round_trip_preserves_state():
     key = rng.randbytes(32)
     enc = encode(rng.randbytes(80), 3)
     table = precompute_tokens(enc, 3, 4, key)
-    msg = challenge(table, 0, 0)
-    verify(table, 0, 0, respond(enc.columns[0], msg))
-    challenge(table, 0, 1)  # left pending on purpose
 
     payload = token_table_to_payload(table)
-    assert "seeds" not in payload
-    assert "field" not in payload
+    assert set(payload) == {"tokens", "sample_size", "rounds", "column_length", "master_key"}
     back = token_table_from_payload(payload)
-    assert back.tokens == table.tokens
-    assert back.issued == table.issued
-    assert back.pending == table.pending
-    assert back.master_key == table.master_key
-    # Payloads written by earlier releases also carry "field": "00".
-    assert token_table_from_payload({**payload, "field": "00"}) == back
-    with pytest.raises(RoundExhausted):
-        challenge(back, 0, 0)
+    assert back == table
+    # Payloads written by earlier releases also carry "field": "00" and the
+    # round state that the router now keeps.
+    old = {**payload, "field": "00", "issued": [[0, 0], [0, 1]], "pending": [[0, 1]]}
+    assert token_table_from_payload(old) == back
 
 
 def test_out_of_range_guards():
@@ -271,6 +253,10 @@ def test_out_of_range_guards():
         challenge(table, 0, 9)
     with pytest.raises(OutOfRange):
         challenge(table, 9, 0)
+    with pytest.raises(OutOfRange):
+        verify(table, 2, 0, 0)
+    with pytest.raises(OutOfRange):
+        verify(table, 0, -1, 0)
     with pytest.raises(OutOfRange):
         column_token(bytes([1, 2]), (5,), (1,))
 

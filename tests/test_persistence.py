@@ -41,8 +41,16 @@ def test_versions_increment_and_history_kept(tmp_path):
     store.commit(_record("a", rev="one"))
     store.commit(_record("a", rev="two"))
     assert store.lookup("a").details == {"rev": "two"}
-    assert [r.version for r in store.history("a")] == [1, 2]
-    assert [r.details["rev"] for r in store.history("a")] == ["one", "two"]
+    assert store.lookup("a").version == 2
+    # Both versions stay in the log, and the newest wins after a reopen too.
+    assert [(r["version"], r["details"]["rev"]) for r in store.log.records()] == [
+        (1, "one"),
+        (2, "two"),
+    ]
+    store.close()
+    reopened = ManifestStore(str(tmp_path / "m.cmf"), writable=False)
+    assert reopened.lookup("a").version == 2
+    assert reopened.lookup("a").details == {"rev": "two"}
 
 
 def test_lookup_unknown_raises(tmp_path):
@@ -157,7 +165,10 @@ def test_keystore_versions_latest_wins(tmp_path):
     assert ks.put("master", "key", {"hex": "aa"}) == 1
     assert ks.put("master", "key", {"hex": "bb"}) == 2
     assert ks.get("master") == {"hex": "bb"}
-    assert list(ks.iter_ids()) == ["master"]
+    assert [(r["key_id"], r["version"]) for r in ks.log.records()] == [
+        ("master", 1),
+        ("master", 2),
+    ]
     with pytest.raises(NotFound):
         ks.get("other")
 

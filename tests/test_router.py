@@ -39,6 +39,20 @@ def _router(tmp_path, seed=1, **policy_kw):
     )
 
 
+def _reopen(router, tmp_path):
+    """A fresh Router over the same fleet and the same store files."""
+    router.manifest.close()
+    router.keystore.close()
+    return Router(
+        cloud=router.cloud,
+        manifest=ManifestStore(str(tmp_path / "m.cmf")),
+        keystore=KeyStore(str(tmp_path / "k.cmf")),
+        policy=router.policy,
+        profiles=router.profiles,
+        rng=random.Random(0),
+    )
+
+
 def _obj(oid, payload, level, ops, **kw):
     return DataObject(
         object_id=oid, payload=payload, secret_level=level,
@@ -209,7 +223,72 @@ def test_audit_consumes_rounds_and_persists(tmp_path):
     with pytest.raises(RoundExhausted):
         router.audit("o")
     # Consumption survives a fresh router over the same keystore.
-    assert router.keystore.get("itok:o")["tables"][0]["issued"]
+    fresh = _reopen(router, tmp_path)
+    with pytest.raises(RoundExhausted):
+        fresh.audit("o")
+    assert fresh.keystore.get("iround:o") == {"spent": 2}
+
+
+def test_no_round_is_issued_twice_across_audits_and_reopens(tmp_path):
+    router = _router(tmp_path)
+    payload = random.Random(7).randbytes(1000)
+    rec = router.put(_obj("o", payload, SecretLevel.SECRET, OperationClass.NO_OPERATIONS))
+    columns = {
+        (slot, column)
+        for slot, info in enumerate(rec.details["slots"])
+        for column in range(len(info["shares"]))
+    }
+    issued = []
+    for rounds in (1, 3, 2, 4):
+        report = router.audit("o", rounds=rounds)
+        per_column = {}
+        for e in report.entries:
+            per_column.setdefault((e.slot, e.column), []).append(e.round_index)
+        # Every column of every slot gets the same rounds, in order.
+        assert set(per_column) == columns
+        assert len({tuple(r) for r in per_column.values()}) == 1
+        issued.extend(per_column[(0, 0)])
+        router = _reopen(router, tmp_path)
+    assert issued == list(range(10))
+
+
+def test_a_killed_audit_never_replays_its_rounds(tmp_path, monkeypatch):
+    router = _router(tmp_path)
+    payload = random.Random(7).randbytes(1000)
+    router.put(_obj("o", payload, SecretLevel.SECRET, OperationClass.NO_OPERATIONS))
+    respond = SimProvider.respond_challenge
+    sent = []
+
+    def killed_at_the_third(self, *args, **kwargs):
+        sent.append(args)
+        if len(sent) == 3:
+            raise RuntimeError("process killed mid-audit")
+        return respond(self, *args, **kwargs)
+
+    monkeypatch.setattr(SimProvider, "respond_challenge", killed_at_the_third)
+    with pytest.raises(RuntimeError):
+        router.audit("o", rounds=2)
+    monkeypatch.setattr(SimProvider, "respond_challenge", respond)
+
+    report = _reopen(router, tmp_path).audit("o", rounds=2)
+    assert report.intact
+    assert {e.round_index for e in report.entries} == {2, 3}
+
+
+def test_an_audit_appends_one_small_record_and_no_token_table(tmp_path):
+    oid = "0123456789abcdef"  # as long as the CLI's default ids
+    router = _router(tmp_path)
+    payload = random.Random(7).randbytes(4096)
+    router.put(_obj(oid, payload, SecretLevel.SECRET, OperationClass.NO_OPERATIONS))
+    path = tmp_path / "k.cmf"
+    for spent in range(1, router.policy.token_rounds + 1):
+        size, count = path.stat().st_size, len(router.keystore.log.records())
+        assert router.audit(oid).intact
+        records = router.keystore.log.records()
+        assert len(records) == count + 1
+        assert records[-1]["key_id"] == f"iround:{oid}"
+        assert records[-1]["data"] == {"spent": spent}
+        assert path.stat().st_size - size <= 100
 
 
 def test_audit_beyond_the_round_budget_sends_nothing(tmp_path, monkeypatch):
@@ -289,14 +368,14 @@ def test_homomorphic_round_trip_hides_plaintext(tmp_path):
     assert not scan_for_bytes(stored, payload)
     assert router.get("o") == payload
     # The private key never leaves the keystore.
-    assert "hekey:o" in list(router.keystore.iter_ids())
+    assert router.keystore.get("hekey:o")["p"]
 
 
 def test_rejected_put_raises_and_stores_nothing(tmp_path):
     router = _router(tmp_path)
     with pytest.raises(RouteRejected):
         router.put(_obj("o", b"x", SecretLevel.SECRET, OperationClass.ADVANCED_ANALYTICS))
-    assert not router.manifest.object_ids()
+    assert not router.manifest.log.records()
 
 
 def test_duplicate_object_id_refused(tmp_path):
@@ -344,7 +423,7 @@ def test_table_without_rows_refused(tmp_path):
         router.put(
             _obj("t", [], SecretLevel.SECRET, OperationClass.NO_OPERATIONS, id_columns=("a",))
         )
-    assert router.manifest.object_ids() == []
+    assert not router.manifest.log.records()
 
 
 def test_table_at_homomorphic_tier_rejected(tmp_path):
@@ -378,7 +457,7 @@ def test_decision_is_pure_no_side_effects(tmp_path):
     d2 = router.route(_obj("x", b"d", SecretLevel.SECRET, OperationClass.NO_OPERATIONS))
     assert isinstance(d1, RoutingDecision)
     assert d1 == d2
-    assert not router.manifest.object_ids()
+    assert not router.manifest.log.records()
     assert all(not p._blobs for p in router.cloud.providers.values())
 
 
@@ -521,4 +600,4 @@ def test_table_of_identifiers_only_refused(tmp_path):
             _obj("t", [{"a": 1, "b": 2}], SecretLevel.SECRET, OperationClass.NO_OPERATIONS,
                  id_columns=("a", "b"))
         )
-    assert router.manifest.object_ids() == []
+    assert not router.manifest.log.records()
