@@ -284,12 +284,27 @@ def _scenario_payload(scenario: dict[str, str], seed: int) -> bytes:
     return random.Random(f"payload:{seed}").randbytes(size)
 
 
+_FAULT_FORMS = {
+    "unavailable": "unavailable:<provider>:<node>",
+    "corrupt": "corrupt:<provider>",
+    "insider": "insider:<provider>",
+}
+
+
 def _inject_faults(router: Router, record: ManifestRecord, items: list[str]) -> None:
-    """Apply scenario fault items."""
+    """Apply scenario fault items.
+
+    Raises:
+        ValueError: an item not of one of the forms in ``_FAULT_FORMS``.
+    """
     cloud = router.cloud
     for item in items:
         parts = item.split(":")
         kind = parts[0]
+        form = _FAULT_FORMS.get(kind)
+        if form is None or len(parts) != form.count(":") + 1:
+            expected = form or " or ".join(_FAULT_FORMS.values())
+            raise ValueError(f"fault {item!r} is not of the form {expected}")
         if kind == "unavailable":
             cloud.inject(simcloud.NodeUnavailable(provider=parts[1], node=parts[2]))
         elif kind == "corrupt":
@@ -306,10 +321,8 @@ def _inject_faults(router: Router, record: ManifestRecord, items: list[str]) -> 
                     provider=parts[1], node=node, blob_id=blob_id, offset=0, mask=0xFF
                 )
             )
-        elif kind == "insider":
-            cloud.inject(simcloud.InsiderDump(provider=parts[1]))
         else:
-            raise ValueError(f"unknown fault kind {kind!r}")
+            cloud.inject(simcloud.InsiderDump(provider=parts[1]))
 
 
 def _check_expectation(

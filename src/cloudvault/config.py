@@ -155,6 +155,8 @@ def _parse_nodes(value: str, where: str) -> dict[str, int]:
             nodes[part] = 0
     if not nodes:
         raise ConfigError(f"{where}: empty node list")
+    if min(nodes.values()) < 0:
+        raise ConfigError(f"{where}: node depths must be nonnegative")
     return nodes
 
 
@@ -241,7 +243,10 @@ def settings_from_text(text: str) -> Settings:
         measured[pid] = metrics
 
     if raw_metrics == "raw":
-        scored = normalize_fleet(measured, collapse_privacy=collapse)
+        try:
+            scored = normalize_fleet(measured, collapse_privacy=collapse)
+        except ValueError as e:
+            raise ConfigError(f"metrics = raw: {e}")
     else:
         scored = {
             pid: (m[0], m[1], m[2], m[2] if collapse else m[3])
@@ -251,10 +256,8 @@ def settings_from_text(text: str) -> Settings:
     for pid in provider_ids:
         pkv = provider_kv.get(pid, {})
         t, c, sec, priv = scored[pid]
-        hier = tuple(
-            float(x) for x in _split_list(pkv.get("hier_access", "1.0"))
-        )
         try:
+            hier = tuple(float(x) for x in _split_list(pkv.get("hier_access", "1.0")))
             s.profiles[pid] = ProviderProfile(
                 provider_id=pid,
                 time_score=t,

@@ -244,7 +244,7 @@ def parse_ciphertext(data: bytes, key: PublicKey) -> Ciphertext:
         ValueError: malformed bytes.
         KeyMismatch: fingerprint does not match ``key``.
     """
-    if data[:4] != CIPHERTEXT_MAGIC:
+    if len(data) < 5 or data[:4] != CIPHERTEXT_MAGIC:
         raise ValueError("bad ciphertext magic")
     fp_len = data[4]
     fp = data[5 : 5 + fp_len].decode("ascii")
@@ -254,3 +254,30 @@ def parse_ciphertext(data: bytes, key: PublicKey) -> Ciphertext:
     if value >= key.nsquare:
         raise ValueError("ciphertext value outside the key's range")
     return Ciphertext(value=value, public=key)
+
+
+def encrypt_bytes(key: PublicKey, data: bytes, rng: random.Random) -> bytes:
+    """The stored form of a byte string: one ciphertext per byte, each as
+    u32le(length) || ``serialize_ciphertext``."""
+    out = bytearray()
+    for b in data:
+        wire = serialize_ciphertext(encrypt(key, b, rng))
+        out += len(wire).to_bytes(4, "little") + wire
+    return bytes(out)
+
+
+def decrypt_bytes(keypair: KeyPair, blob: bytes, count: int) -> bytes:
+    """The ``count`` bytes ``encrypt_bytes`` stored in ``blob``.
+
+    Raises:
+        ValueError: a frame or ciphertext is malformed, or decrypts above 255.
+        KeyMismatch: a ciphertext belongs to another key.
+    """
+    out = bytearray()
+    off = 0
+    for _ in range(count):
+        ln = int.from_bytes(blob[off : off + 4], "little")
+        off += 4
+        out.append(decrypt(keypair, parse_ciphertext(blob[off : off + ln], keypair.public)))
+        off += ln
+    return bytes(out)

@@ -17,12 +17,13 @@ loudly; a truncated tail is reported as CorruptStore unless the caller opts
 into recovery, in which case the complete prefix is served and the torn
 bytes are dropped from view (and from the file, if writable).
 
-Records are immutable once committed: an update appends a new version under
-the same id and readers take the highest version. The manifest and the
-keystore are separate files with the same container format, so placement
-metadata can be shared for debugging without handing over a single secret.
-Both index their records by id in memory, built once at open and extended
-on every append, so a lookup costs the same however long the log grows.
+Records are immutable once committed: an update appends a new record under
+the same id, and the last record per id wins. The manifest and the keystore
+are separate files with the same container format, so placement metadata
+can be shared for debugging without handing over a single secret. Both
+index their records by id in memory, in one shared class, built once at
+open and extended on every append, so a lookup costs the same however long
+the log grows.
 
 Writers take an exclusive advisory lock on the file for their lifetime;
 a second writer fails fast instead of interleaving appends.
@@ -35,7 +36,7 @@ import json
 import os
 import struct
 import zlib
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from pathlib import Path
 
 STORE_MAGIC = b"CMF1"
@@ -203,10 +204,11 @@ class RecordLog:
 class ManifestRecord:
     """One committed placement: everything get and audit need, no secrets.
 
-    ``details`` carries the pipeline-specific payload (cut points, the
-    sequence permutation, share locations with their evaluation points,
-    per-chunk digests, keystore reference ids). Secrets themselves
-    never appear here; the manifest can be shared for debugging.
+    ``details`` carries the pipeline-specific payload (the sequence
+    permutation, share locations with their evaluation points, per-chunk
+    digests, keystore reference ids). Secrets themselves never appear
+    here; the manifest can be shared for debugging. ``version`` counts the
+    object's records; ``put`` prints it.
     """
 
     object_id: str
@@ -233,94 +235,73 @@ class ManifestRecord:
         return cls(**payload)
 
 
-class ManifestStore:
-    """Versioned object placements over a RecordLog, indexed by object id."""
+class _IndexedLog:
+    """A RecordLog indexed by the id each record holds under ``_id_key``:
+    the newest record per id, built once at open, extended on each append."""
+
+    _id_key: str
 
     def __init__(self, path: str | Path, writable: bool = True, recover: bool = False):
         self.log = RecordLog(path, writable=writable, recover=recover)
-        # object id -> newest record payload.
-        self._latest: dict[str, dict] = {}
-        for r in self.log.records():
-            self._latest[r["object_id"]] = r
+        self._latest: dict[str, dict] = {r[self._id_key]: r for r in self.log.records()}
 
     @property
     def tail_torn(self) -> bool:
         return self.log.tail_torn
+
+    def _append(self, payload: dict) -> None:
+        self.log.append(payload)
+        self._latest[payload[self._id_key]] = payload
+
+    def _newest(self, record_id: str, what: str) -> dict:
+        newest = self._latest.get(record_id)
+        if newest is None:
+            raise NotFound(f"no {what} record for {record_id!r}")
+        return newest
+
+    def close(self) -> None:
+        self.log.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+class ManifestStore(_IndexedLog):
+    """Versioned object placements over a RecordLog, indexed by object id."""
+
+    _id_key = "object_id"
 
     def commit(self, record: ManifestRecord) -> ManifestRecord:
         """Append the next version of this object's record and return it."""
         newest = self._latest.get(record.object_id)
         version = newest["version"] + 1 if newest is not None else 1
-        stamped = ManifestRecord(
-            object_id=record.object_id,
-            pipeline=record.pipeline,
-            version=version,
-            secret_level=record.secret_level,
-            operation_class=record.operation_class,
-            object_digest=record.object_digest,
-            details=record.details,
-        )
-        payload = stamped.to_payload()
-        self.log.append(payload)
-        self._latest[record.object_id] = payload
+        stamped = replace(record, version=version)
+        self._append(stamped.to_payload())
         return stamped
 
     def lookup(self, object_id: str) -> ManifestRecord:
-        newest = self._latest.get(object_id)
-        if newest is None:
-            raise NotFound(f"no manifest record for {object_id!r}")
-        return ManifestRecord.from_payload(newest)
-
-    def close(self) -> None:
-        self.log.close()
-
-    def __enter__(self) -> "ManifestStore":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+        return ManifestRecord.from_payload(self._newest(object_id, "manifest"))
 
 
-class KeyStore:
-    """Versioned secret material over the same container format, in its own
-    file, indexed by key id: salts and digest mappings (``anon:<id>``),
-    private keys (``hekey:<id>``), token tables with their master key
-    (``itok:<id>``, written once at put) and each object's count of spent
-    audit rounds (``iround:<id>``, one small record per audit)."""
+class KeyStore(_IndexedLog):
+    """Secret material over the same container format, in its own file,
+    indexed by key id. A record is ``{"key_id", "data"}``: for ``anon:<id>``
+    a table's salt and digest mapping, for ``hekey:<id>`` the private primes,
+    for ``itok:<id>`` the token tables and their master key (written once,
+    at put), for ``iround:<id>`` the object's count of spent audit rounds
+    (one small record per audit). Earlier releases also wrote ``kind`` and
+    ``version``; nothing reads them, and the last record per id wins."""
 
-    def __init__(self, path: str | Path, writable: bool = True, recover: bool = False):
-        self.log = RecordLog(path, writable=writable, recover=recover)
-        # key id -> newest record.
-        self._latest: dict[str, dict] = {}
-        for r in self.log.records():
-            self._latest[r["key_id"]] = r
+    _id_key = "key_id"
 
-    @property
-    def tail_torn(self) -> bool:
-        return self.log.tail_torn
-
-    def put(self, key_id: str, kind: str, data: dict) -> int:
-        newest = self._latest.get(key_id)
-        version = newest["version"] + 1 if newest is not None else 1
-        record = {"key_id": key_id, "kind": kind, "version": version, "data": data}
-        self.log.append(record)
-        self._latest[key_id] = record
-        return version
+    def put(self, key_id: str, data: dict) -> None:
+        self._append({"key_id": key_id, "data": data})
 
     def get(self, key_id: str) -> dict:
-        newest = self._latest.get(key_id)
-        if newest is None:
-            raise NotFound(f"no key record for {key_id!r}")
-        return newest["data"]
-
-    def close(self) -> None:
-        self.log.close()
-
-    def __enter__(self) -> "KeyStore":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+        return self._newest(key_id, "key")["data"]
 
 
 def scan_for_bytes(haystack: bytes, needle: bytes) -> bool:

@@ -338,31 +338,11 @@ class Router:
     def _put_homomorphic(self, obj: DataObject, decision: RoutingDecision) -> ManifestRecord:
         raw = obj.payload  # routing keeps tables out of this tier
         keypair = homomorphic.keygen(self.policy.he_bits, self.rng)
-        blob = bytearray()
-        for b in raw:
-            ct = homomorphic.encrypt(keypair.public, b, self.rng)
-            wire = homomorphic.serialize_ciphertext(ct)
-            blob += len(wire).to_bytes(4, "little") + wire
-        location = self._store(
-            decision.providers[0], 0, f"{obj.object_id}.he", bytes(blob)
-        )
+        blob = homomorphic.encrypt_bytes(keypair.public, raw, self.rng)
+        location = self._store(decision.providers[0], 0, f"{obj.object_id}.he", blob)
         key_ref = f"hekey:{obj.object_id}"
-        self.keystore.put(
-            key_ref,
-            "homomorphic-private",
-            {
-                "p": hex(keypair.p),
-                "q": hex(keypair.q),
-                "bits": self.policy.he_bits,
-                "insecure": keypair.public.insecure,
-            },
-        )
-        details = {
-            "location": location,
-            "key_ref": key_ref,
-            "count": len(raw),
-            "fingerprint": keypair.public.fingerprint,
-        }
+        self.keystore.put(key_ref, {"p": hex(keypair.p), "q": hex(keypair.q)})
+        details = {"location": location, "key_ref": key_ref, "count": len(raw)}
         return self._record(obj, Pipeline.HOMOMORPHIC_STORE, _sha256(raw), details)
 
     def _put_dispersed(self, obj: DataObject, decision: RoutingDecision) -> ManifestRecord:
@@ -410,14 +390,11 @@ class Router:
             slots.append({"shares": locations, "share_bytes": len(chunk)})
 
         integrity_ref = f"itok:{obj.object_id}"
-        self.keystore.put(integrity_ref, "integrity-tokens", {"tables": token_payloads})
+        self.keystore.put(integrity_ref, {"tables": token_payloads})
 
         details = {
             "scheme": {"threshold": k, "share_count": n},
-            "corruption_tolerance": scheme.corruption_tolerance(),
             "chunk_count": chunk_count,
-            "cut_points": list(plan.cut_points),
-            "split_objective_nats": plan.objective,
             "sequence_permutation": list(perm),
             "chunk_digests": [_sha256(c) for c in true_chunks],
             "slots": slots,
@@ -452,7 +429,6 @@ class Router:
         anonymize_ref = f"anon:{obj.object_id}"
         self.keystore.put(
             anonymize_ref,
-            "anonymize-mapping",
             {
                 "salt": salt.hex(),
                 "id_columns": list(table.id_columns),
@@ -532,18 +508,10 @@ class Router:
         key_data = self.keystore.get(details["key_ref"])
         p, q = int(key_data["p"], 16), int(key_data["q"], 16)
         keypair = homomorphic.KeyPair(public=homomorphic.PublicKey(n=p * q), p=p, q=q)
-        out = bytearray()
-        off = 0
         try:
-            for _ in range(details["count"]):
-                ln = int.from_bytes(blob[off : off + 4], "little")
-                off += 4
-                ct = homomorphic.parse_ciphertext(blob[off : off + ln], keypair.public)
-                off += ln
-                out.append(homomorphic.decrypt(keypair, ct))
-        except (ValueError, IndexError, homomorphic.HomomorphicError) as e:
+            return homomorphic.decrypt_bytes(keypair, blob, details["count"])
+        except (ValueError, homomorphic.HomomorphicError) as e:
             raise IntegrityViolation(f"malformed homomorphic blob: {e!r}")
-        return bytes(out)
 
     def _get_dispersed(self, record: ManifestRecord) -> bytes:
         details = record.details
@@ -718,7 +686,7 @@ class Router:
             )
         # Write ahead: the rounds are spent before the first challenge leaves,
         # so an audit killed midway can never send them again.
-        self.keystore.put(counter, "rounds", {"spent": spent + rounds})
+        self.keystore.put(counter, {"spent": spent + rounds})
 
         entries = []
         for slot, slot_info in enumerate(details["slots"]):

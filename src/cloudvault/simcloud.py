@@ -274,35 +274,40 @@ class SimCloud:
     def load(cls, directory: str | Path) -> "SimCloud":
         """The fleet ``save`` wrote, providers in id order, read from the pack
         or else from a legacy ``simcloud.json``. Raises FileNotFoundError when
-        there is neither and SnapshotCorrupt when the pack is damaged."""
+        there is neither and SnapshotCorrupt when the one found is damaged."""
         root = Path(directory)
         try:
             raw = memoryview((root / _PACK).read_bytes())
+            legacy = None
         except FileNotFoundError:
-            return cls._load_legacy(root)
+            legacy = (root / _LEGACY).read_bytes()
+        try:
+            return cls._load_pack(raw) if legacy is None else cls._load_legacy(legacy)
+        except (ValueError, KeyError, TypeError, AttributeError) as e:
+            raise SnapshotCorrupt(f"unreadable snapshot: {e!r}") from None
+
+    @classmethod
+    def _load_pack(cls, raw: memoryview) -> "SimCloud":
         if len(raw) < 8 or raw[:4] != _MAGIC:
             raise SnapshotCorrupt("not a provider snapshot")
         end = 8 + struct.unpack_from(">I", raw, 4)[0]
         if end > len(raw):
             raise SnapshotCorrupt("header runs past the end of the snapshot")
-        try:
-            header = json.loads(bytes(raw[8:end]))
-            providers = []
-            for pid, pdata in header["providers"].items():
-                p = SimProvider(pid, pdata["nodes"], credential=pdata["credential"])
-                for node, blob_id, size in pdata["blobs"]:
-                    p._blobs[node, blob_id] = bytes(raw[end : end + size])
-                    end += size
-                providers.append(p)
-            if end != len(raw):
-                raise SnapshotCorrupt("blob sizes do not add up to the snapshot length")
-            return cls._restore(providers, header["faults"])
-        except (ValueError, KeyError, TypeError, AttributeError) as e:
-            raise SnapshotCorrupt(f"unreadable snapshot header: {e}") from None
+        header = json.loads(bytes(raw[8:end]))
+        providers = []
+        for pid, pdata in header["providers"].items():
+            p = SimProvider(pid, pdata["nodes"], credential=pdata["credential"])
+            for node, blob_id, size in pdata["blobs"]:
+                p._blobs[node, blob_id] = bytes(raw[end : end + size])
+                end += size
+            providers.append(p)
+        if end != len(raw):
+            raise SnapshotCorrupt("blob sizes do not add up to the snapshot length")
+        return cls._restore(providers, header["faults"])
 
     @classmethod
-    def _load_legacy(cls, root: Path) -> "SimCloud":
-        state = json.loads((root / _LEGACY).read_text())
+    def _load_legacy(cls, text: bytes) -> "SimCloud":
+        state = json.loads(text)
         providers = []
         for pid, pdata in state["providers"].items():
             p = SimProvider(pid, pdata["nodes"], credential=pdata["credential"])

@@ -414,3 +414,50 @@ def test_table_of_identifiers_only_exits_one(tmp_path, capsys, command):
     assert err["error"] == "ValueError"
     assert "every column is an identifier" in err["message"]
     assert not list(tmp_path.glob("table.g*"))
+
+
+_LEGACY_BLOB_WITHOUT_DATA = json.dumps({
+    "providers": {"alpha": {"nodes": {"n0": 0}, "credential": "",
+                            "blobs": [{"node": "n0", "blob_id": "o.blob"}]}},
+    "faults": [],
+})
+
+
+@pytest.mark.parametrize(
+    "case, text, error",
+    [
+        pytest.param("inject", "unavailable:alpha", "ValueError", id="unavailable-no-node"),
+        pytest.param("inject", "corrupt", "ValueError", id="corrupt-no-provider"),
+        pytest.param("inject", "insider", "ValueError", id="insider-no-provider"),
+        pytest.param("legacy", '{"providers": {}}', "SnapshotCorrupt", id="legacy-no-faults"),
+        pytest.param("legacy", _LEGACY_BLOB_WITHOUT_DATA, "SnapshotCorrupt", id="legacy-no-data"),
+        pytest.param("legacy", "not json", "SnapshotCorrupt", id="legacy-not-json"),
+        pytest.param("legacy", "", "SnapshotCorrupt", id="legacy-empty"),
+        pytest.param("config", "providers = a\nprovider.a.hier_access = x\n", "ConfigError",
+                     id="config-hier-access"),
+        pytest.param("config", "providers = a, b\nmetrics = raw\nprovider.a.time = -1\n",
+                     "ConfigError", id="config-negative-raw-metric"),
+        pytest.param("config", "providers = a\nprovider.a.nodes = n0:-1\n", "ConfigError",
+                     id="config-negative-depth"),
+    ],
+)
+def test_malformed_input_exits_one_with_a_named_error(tmp_path, capsys, case, text, error):
+    src = tmp_path / "p.bin"
+    src.write_bytes(b"payload")
+    args = ["put", str(src), "--level", "secret"]
+    if case == "inject":
+        scenario = tmp_path / "s.scn"
+        scenario.write_text(f"payload_bytes = 256\ninject = {text}\nexpect = get_ok\n")
+        args = ["simulate", str(scenario)]
+    elif case == "legacy":
+        (tmp_path / "state").mkdir()
+        (tmp_path / "state" / "simcloud.json").write_text(text)
+    else:
+        (tmp_path / "fleet.cfg").write_text(text)
+        args = ["--config", str(tmp_path / "fleet.cfg"), *args]
+    assert main([*_paths(tmp_path), *args]) == 1
+    captured = capsys.readouterr()
+    assert _kv(captured.err)["error"] == error
+    assert "Traceback" not in captured.out + captured.err
+    if case == "inject":
+        assert text.split(":")[0] + ":<provider>" in _kv(captured.err)["message"]

@@ -10,7 +10,8 @@ homomorphic, and tables at every level.
 
 The compatibility tests read stores written by an earlier release, whose
 token tables carry a ``"field": "00"`` key and mark spent rounds inside
-themselves, through the CLI.
+themselves, and whose records carry fields no read uses, through the CLI,
+and add new records beside them.
 """
 
 import hashlib
@@ -34,9 +35,9 @@ _PROVIDER_DIGESTS = {
     "epsilon": "541cab0275d22861101c481f325947ac908366f44f306129b2dcfac5b48f61ff",
     "gamma": "84a3d5657d0ecbb0f492919214d6b2713bb2f8dd2d83ef47c73fce7bf49cf08c",
 }
-_MANIFEST_DIGEST = "f4f07c8af744f85c6a0b4eb00ee8371b9d8763f9b62d6c5e9eb709be04276964"
+_MANIFEST_DIGEST = "cb656d4c47351ba156e99fda82a37f73a05482181fdf1b6df3c89df8dc426ecf"
 _CHALLENGE_DIGEST = "57ff3495a46b0cfb552196ad402de32c70d2277ca5bcdda9b4b831fad60301f6"
-_TOKEN_STATE_DIGEST = "b036d4bc4f59c32e22f5c5d54d4ad4e351042171da912eb9ee2370d631a28b10"
+_TOKEN_STATE_DIGEST = "a254d20e9b812eb9130932c6026ee27f859683d89d304d13095c8a3d76281d09"
 
 
 def _framed(parts) -> str:
@@ -125,8 +126,8 @@ _PIPELINE_PROVIDER_DIGESTS = {
     "epsilon": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "gamma": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
 }
-_PIPELINE_MANIFEST_DIGEST = "7146dd6afd177047e6f2e89c730a91ec952999fc244af5aef359e463e001721f"
-_PIPELINE_KEYSTORE_DIGEST = "0ce7921050d0073d443e0e77f469928ab014167bb92728e05184cf8cb228344f"
+_PIPELINE_MANIFEST_DIGEST = "2fec861f3011271fd943e4c7a06585b7902cba3c47a1bf5f278629b42e3e92e5"
+_PIPELINE_KEYSTORE_DIGEST = "869d445441c038712e946e33b12b467c284d14a27f8a8598b0cd960b1ef8dd44"
 
 
 def test_golden_bytes_of_every_other_pipeline(tmp_path):
@@ -228,3 +229,52 @@ def test_audited_store_from_an_earlier_release_never_replays_a_round(
     out = tmp_path / "audited.bin"
     assert main([*paths, "get", "audited", "--out", str(out)]) == 0
     assert out.read_bytes() == random.Random("compat-audited").randbytes(1000)
+
+
+_DROPPED_DETAILS = {"split_objective_nats", "cut_points", "corruption_tolerance", "fingerprint"}
+
+
+def test_new_records_join_a_store_from_an_earlier_release(tmp_path, capsys):
+    # The earlier release wrote keystore records with "kind" and "version"
+    # and manifest details nothing reads; new records carry none of them,
+    # and old and new objects read back side by side from one store.
+    root = tmp_path / "compat-audited"
+    shutil.copytree(_COMPAT_AUDITED, root)
+    with KeyStore(root / "keystore.cmf", writable=False) as ks:
+        old_keys = len(ks.log.records())
+    paths = [
+        "--manifest", str(root / "manifest.cmf"),
+        "--keystore", str(root / "keystore.cmf"),
+        "--state-dir", str(root / "state"),
+    ]
+    payloads = {
+        "audited": random.Random("compat-audited").randbytes(1000),
+        "fresh": random.Random("fresh").randbytes(3000),
+        "he-fresh": random.Random("he-fresh").randbytes(16),
+    }
+    for oid, ops in (("fresh", "none"), ("he-fresh", "basic")):
+        src = tmp_path / f"{oid}.in"
+        src.write_bytes(payloads[oid])
+        assert main([*paths, "put", str(src), "--level", "secret", "--ops", ops,
+                     "--object-id", oid]) == 0
+    for oid, payload in payloads.items():
+        out = tmp_path / f"{oid}.out"
+        assert main([*paths, "get", oid, "--out", str(out)]) == 0
+        assert out.read_bytes() == payload
+        capsys.readouterr()
+        assert main([*paths, "audit", oid]) == 0
+        assert "intact=true" in capsys.readouterr().out.splitlines()
+
+    with ManifestStore(root / "manifest.cmf", writable=False) as manifest:
+        assert _DROPPED_DETAILS & set(manifest.lookup("audited").details)
+        for oid in ("fresh", "he-fresh"):
+            assert not _DROPPED_DETAILS & set(manifest.lookup(oid).details)
+    with KeyStore(root / "keystore.cmf", writable=False) as ks:
+        records = ks.log.records()
+    assert {"kind", "version"} <= set(records[0])
+    new = records[old_keys:]
+    assert [r["key_id"] for r in new] == [
+        "itok:fresh", "hekey:he-fresh", "iround:audited", "iround:fresh",
+    ]
+    assert all(set(r) == {"key_id", "data"} for r in new)
+    assert set(new[1]["data"]) == {"p", "q"}

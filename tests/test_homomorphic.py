@@ -9,8 +9,10 @@ from cloudvault.homomorphic import (
     PublicKey,
     decode_signed,
     decrypt,
+    decrypt_bytes,
     encode_signed,
     encrypt,
+    encrypt_bytes,
     he_add,
     he_scale,
     he_sub,
@@ -138,3 +140,22 @@ def test_ciphertext_value_must_fit_modulus_square():
     bad = Ciphertext(value=kp.public.nsquare + 1, public=kp.public)
     with pytest.raises(ValueError):
         parse_ciphertext(serialize_ciphertext(bad), kp.public)
+
+
+def test_byte_strings_round_trip_and_every_truncation_is_refused():
+    kp = keygen(64, random.Random(73))
+    data = bytes([0, 1, 127, 255])
+    blob = encrypt_bytes(kp.public, data, random.Random(74))
+    # One length-framed ciphertext per byte, drawn in the order encrypt draws.
+    rng = random.Random(74)
+    assert blob == b"".join(
+        len(w).to_bytes(4, "little") + w
+        for w in (serialize_ciphertext(encrypt(kp.public, b, rng)) for b in data)
+    )
+    assert decrypt_bytes(kp, blob, len(data)) == data
+    for cut in range(len(blob)):
+        # A cut inside a fingerprint leaves a prefix of it: another key's.
+        with pytest.raises((ValueError, KeyMismatch)):
+            decrypt_bytes(kp, blob[:cut], len(data))
+    with pytest.raises(KeyMismatch):
+        decrypt_bytes(keygen(64, random.Random(75)), blob, len(data))

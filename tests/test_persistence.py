@@ -162,15 +162,18 @@ def test_readers_bypass_lock(tmp_path):
 
 def test_keystore_versions_latest_wins(tmp_path):
     ks = KeyStore(str(tmp_path / "k.cmf"))
-    assert ks.put("master", "key", {"hex": "aa"}) == 1
-    assert ks.put("master", "key", {"hex": "bb"}) == 2
+    ks.put("master", {"hex": "aa"})
+    ks.put("master", {"hex": "bb"})
     assert ks.get("master") == {"hex": "bb"}
-    assert [(r["key_id"], r["version"]) for r in ks.log.records()] == [
-        ("master", 1),
-        ("master", 2),
+    assert ks.log.records() == [
+        {"key_id": "master", "data": {"hex": "aa"}},
+        {"key_id": "master", "data": {"hex": "bb"}},
     ]
     with pytest.raises(NotFound):
         ks.get("other")
+    ks.close()
+    with KeyStore(str(tmp_path / "k.cmf"), writable=False) as reopened:
+        assert reopened.get("master") == {"hex": "bb"}
 
 
 def test_scan_for_bytes():

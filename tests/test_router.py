@@ -117,7 +117,8 @@ def test_dispersed_round_trip(tmp_path):
     rec = router.put(_obj("o", payload, SecretLevel.SECRET, OperationClass.NO_OPERATIONS))
     assert rec.pipeline == "SplitShareDisperse"
     assert rec.version == 1
-    assert rec.details["corruption_tolerance"] == 2
+    scheme = rec.details["scheme"]
+    assert scheme["share_count"] - scheme["threshold"] == 2
     assert router.get("o") == payload
 
 
@@ -288,7 +289,7 @@ def test_an_audit_appends_one_small_record_and_no_token_table(tmp_path):
         assert len(records) == count + 1
         assert records[-1]["key_id"] == f"iround:{oid}"
         assert records[-1]["data"] == {"spent": spent}
-        assert path.stat().st_size - size <= 100
+        assert path.stat().st_size - size <= 64
 
 
 def test_audit_beyond_the_round_budget_sends_nothing(tmp_path, monkeypatch):
@@ -588,7 +589,7 @@ def test_damaged_local_key_is_not_blamed_on_the_provider(tmp_path):
     router = _router(tmp_path, he_bits=64)
     rec = router.put(_obj("h", b"abc", SecretLevel.SECRET, OperationClass.BASIC_OPERATIONS))
     ref = rec.details["key_ref"]
-    router.keystore.put(ref, "homomorphic-private", {**router.keystore.get(ref), "p": "zz"})
+    router.keystore.put(ref, {**router.keystore.get(ref), "p": "zz"})
     with pytest.raises(ValueError):
         router.get("h")
 
