@@ -21,6 +21,7 @@ Output is one ``key=value`` pair per line on stdout; failures print
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -28,6 +29,7 @@ import random
 import sys
 import tempfile
 from pathlib import Path
+from typing import Iterator
 
 from . import anonymize, entropy_split, homomorphic, integrity, persistence, simcloud
 from .config import ConfigError, Settings, load_settings, parse_kv
@@ -134,18 +136,19 @@ def _open_cloud(settings: Settings) -> simcloud.SimCloud:
         return simcloud.SimCloud.build(settings.topology, credential=settings.credential)
 
 
-def _open_router(settings: Settings, rng: random.Random) -> Router:
+@contextlib.contextmanager
+def _open_router(settings: Settings, rng: random.Random) -> Iterator[Router]:
+    """A Router over the configured state; both stores close on exit."""
     cloud = _open_cloud(settings)
-    manifest = ManifestStore(settings.manifest)
-    keystore = KeyStore(settings.keystore)
-    return Router(
-        cloud=cloud,
-        manifest=manifest,
-        keystore=keystore,
-        policy=settings.policy,
-        profiles=settings.profiles,
-        rng=rng,
-    )
+    with ManifestStore(settings.manifest) as manifest, KeyStore(settings.keystore) as keystore:
+        yield Router(
+            cloud=cloud,
+            manifest=manifest,
+            keystore=keystore,
+            policy=settings.policy,
+            profiles=settings.profiles,
+            rng=rng,
+        )
 
 
 def _read_payload(path: str) -> bytes:
@@ -173,7 +176,6 @@ def _cmd_put(settings: Settings, args: argparse.Namespace) -> int:
     # Seed mixed with the object id so repeated puts under one config do not
     # reuse key material.
     rng = random.Random(f"{settings.seed}:{object_id}")
-    router = _open_router(settings, rng)
     obj = DataObject(
         object_id=object_id,
         payload=payload,
@@ -181,8 +183,9 @@ def _cmd_put(settings: Settings, args: argparse.Namespace) -> int:
         operation_class=OperationClass(args.ops),
         id_columns=id_columns,
     )
-    record = router.put(obj)
-    router.cloud.save(settings.state_dir)
+    with _open_router(settings, rng) as router:
+        record = router.put(obj)
+        router.cloud.save(settings.state_dir)
     print(f"object_id={record.object_id}")
     print(f"pipeline={record.pipeline}")
     print(f"version={record.version}")
@@ -196,8 +199,8 @@ def _cmd_put(settings: Settings, args: argparse.Namespace) -> int:
 
 
 def _cmd_get(settings: Settings, args: argparse.Namespace) -> int:
-    router = _open_router(settings, random.Random(settings.seed))
-    payload = router.get(args.object_id)
+    with _open_router(settings, random.Random(settings.seed)) as router:
+        payload = router.get(args.object_id)
     data = (
         json.dumps(payload, sort_keys=True, indent=1).encode("utf-8")
         if isinstance(payload, list)
@@ -215,8 +218,8 @@ def _cmd_get(settings: Settings, args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(settings: Settings, args: argparse.Namespace) -> int:
-    router = _open_router(settings, random.Random(settings.seed))
-    report = router.audit(args.object_id, rounds=args.rounds)
+    with _open_router(settings, random.Random(settings.seed)) as router:
+        report = router.audit(args.object_id, rounds=args.rounds)
     print(f"object_id={report.object_id}")
     print(f"pipeline={report.pipeline}")
     print(f"checks={len(report.entries)}")
@@ -363,12 +366,16 @@ def _cmd_simulate(settings: Settings, args: argparse.Namespace) -> int:
     ops = OperationClass(scenario.get("ops", "none"))
 
     # Scenarios run on a throwaway fleet and stores; nothing persists.
-    with tempfile.TemporaryDirectory() as tmp:
+    with (
+        tempfile.TemporaryDirectory() as tmp,
+        ManifestStore(str(Path(tmp) / "manifest.cmf")) as manifest,
+        KeyStore(str(Path(tmp) / "keystore.cmf")) as keystore,
+    ):
         cloud = simcloud.SimCloud.build(settings.topology, credential=settings.credential)
         router = Router(
             cloud=cloud,
-            manifest=ManifestStore(str(Path(tmp) / "manifest.cmf")),
-            keystore=KeyStore(str(Path(tmp) / "keystore.cmf")),
+            manifest=manifest,
+            keystore=keystore,
             policy=settings.policy,
             profiles=settings.profiles,
             rng=random.Random(f"{settings.seed}:{object_id}"),

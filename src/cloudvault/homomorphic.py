@@ -8,8 +8,8 @@ Plaintext division has no realization in this scheme, so none is offered.
 Encryption is probabilistic (a fresh nonce every call), decryption strips
 it. Key generation is deterministic under a seeded generator so tests and
 the dispatcher can replay byte-identical state. Moduli far below 2048 bits
-keep the exhaustive tests fast but are toy material: such keys carry
-``insecure=True`` and must never protect real data.
+keep the exhaustive tests fast but are toy material and must never protect
+real data.
 
 Negative plaintexts ride on the usual wraparound encoding centered at n // 2:
 values in (-n/2, n/2] map to v mod n, and anything decrypted above the center
@@ -25,7 +25,6 @@ import struct
 from dataclasses import dataclass
 
 MIN_KEY_BITS = 16
-SECURE_KEY_BITS = 2048
 
 _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67]
 
@@ -97,10 +96,6 @@ class PublicKey:
         return hashlib.blake2b(raw, digest_size=16).hexdigest()
 
     @property
-    def insecure(self) -> bool:
-        return self.n.bit_length() < SECURE_KEY_BITS
-
-    @property
     def signed_max(self) -> int:
         """Largest encodable signed value; the center of the wraparound."""
         return self.n // 2
@@ -137,7 +132,7 @@ def keygen(bits: int, rng: random.Random) -> KeyPair:
     """Generate a keypair with an exactly ``bits``-long modulus.
 
     Deterministic for a given seeded generator. Keys below 2048 bits are
-    flagged insecure on the public half.
+    toy material.
 
     Raises:
         ValueError: bits below the scheme minimum of 16.

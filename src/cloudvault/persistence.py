@@ -12,18 +12,22 @@ all, which is the whole crash-safety argument: commit flushes and fsyncs
 before returning, and a crash mid-append costs at most the record being
 appended, never an earlier one.
 
-Corruption is never silent. A bad checksum inside the file fails the load
-loudly; a truncated tail is reported as CorruptStore unless the caller opts
-into recovery, in which case the complete prefix is served and the torn
-bytes are dropped from view (and from the file, if writable).
+Corruption is never silent. Open checks every frame's checksum: a bad one
+inside the file fails the open loudly; a truncated tail is reported as
+CorruptStore unless the caller opts into recovery, in which case the
+complete prefix is served and the torn bytes are dropped from view (and
+from the file, if writable). Open decodes no record, though: a record is
+parsed when it is first read, so a frame whose checksum holds but whose
+body is not JSON raises CorruptStore at that read, not at open.
 
 Records are immutable once committed: an update appends a new record under
 the same id, and the last record per id wins. The manifest and the keystore
 are separate files with the same container format, so placement metadata
 can be shared for debugging without handing over a single secret. Both
-index their records by id in memory, in one shared class, built once at
-open and extended on every append, so a lookup costs the same however long
-the log grows.
+index their records by id in memory, in one shared class: open maps each
+id to its newest frame, reading the id straight from the canonical bytes,
+and a lookup decodes only the record it returns. A command therefore
+parses the one or two records it reads, not the whole log.
 
 Writers take an exclusive advisory lock on the file for their lifetime;
 a second writer fails fast instead of interleaving appends.
@@ -37,9 +41,11 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass, field as dc_field, replace
+from json.decoder import scanstring
 from pathlib import Path
 
 STORE_MAGIC = b"CMF1"
+_U32 = struct.Struct("<I")
 
 
 class PersistenceError(Exception):
@@ -70,6 +76,12 @@ def _canonical(payload: dict) -> bytes:
 class RecordLog:
     """The shared container: an append-only log of JSON records.
 
+    Open reads the file once and checks every frame's checksum, keeping the
+    bytes and each body's (offset, length); it decodes nothing. ``records()``
+    decodes on each call, ``decode`` decodes one frame, and ``ids`` reads one
+    string field of every frame from the bytes. Records appended since open
+    are kept as the payloads the caller passed.
+
     ``recover=True`` tolerates a torn tail by serving the complete prefix
     and, when writable, truncating the torn bytes so later appends extend a
     clean file. Interior corruption (a record whose checksum fails but whose
@@ -80,7 +92,9 @@ class RecordLog:
         self.path = Path(path)
         self.writable = writable
         self.tail_torn = False
-        self._records: list[dict] = []
+        self._data = b""
+        self._frames: list[tuple[int, int]] = []
+        self._appended: list[dict] = []
         self._fh = None
 
         fresh = not self.path.exists()
@@ -95,11 +109,16 @@ class RecordLog:
                 self._fh.close()
                 self._fh = None
                 raise StoreBusy(f"{self.path} is locked by another writer")
-        if fresh:
-            self._fh.write(STORE_MAGIC)
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
-        self._load(recover)
+        try:
+            if fresh:
+                self._fh.write(STORE_MAGIC)
+                self._fh.flush()
+                os.fsync(self._fh.fileno())
+            self._load(recover)
+        except BaseException:
+            # A failed open must not keep the file, or the writer's lock.
+            self.close()
+            raise
 
     def _load(self, recover: bool) -> None:
         self._fh.seek(0)
@@ -108,8 +127,6 @@ class RecordLog:
             if len(data) < 4 and recover:
                 # Even the magic was torn; an empty store is the only safe view.
                 self.tail_torn = True
-                self._records = []
-                self._valid_end = 4
                 if self.writable:
                     self._rewrite_clean(b"")
                 return
@@ -117,50 +134,95 @@ class RecordLog:
                 f"{self.path} does not start with the store magic", offset=0
             )
         off = 4
-        records: list[dict] = []
-        while off < len(data):
-            frame_start = off
-            if off + 4 > len(data):
-                self._torn(recover, frame_start, records, "torn length prefix")
+        size = len(data)
+        unpack = _U32.unpack_from
+        frames: list[tuple[int, int]] = []
+        while off < size:
+            if off + 4 > size:
+                self._torn(recover, off, frames, "torn length prefix")
                 break
-            (length,) = struct.unpack_from("<I", data, off)
-            off += 4
-            if off + length + 4 > len(data):
-                self._torn(recover, frame_start, records, "torn record body")
+            (length,) = unpack(data, off)
+            body = off + 4
+            end = body + length
+            if end + 4 > size:
+                self._torn(recover, off, frames, "torn record body")
                 break
-            body = data[off : off + length]
-            off += length
-            (crc,) = struct.unpack_from("<I", data, off)
-            off += 4
-            if zlib.crc32(body) != crc:
+            if zlib.crc32(data[body:end]) != unpack(data, end)[0]:
                 # A complete frame with a bad checksum is damage, not a torn
                 # append; refuse to guess, even in recovery mode.
                 raise CorruptStore(
-                    f"checksum mismatch at offset {frame_start} in {self.path}",
-                    offset=frame_start,
-                    records_recovered=len(records),
+                    f"checksum mismatch at offset {off} in {self.path}",
+                    offset=off,
+                    records_recovered=len(frames),
                 )
-            try:
-                records.append(json.loads(body.decode("utf-8")))
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                raise CorruptStore(
-                    f"undecodable record at offset {frame_start} in {self.path}",
-                    offset=frame_start,
-                    records_recovered=len(records),
-                )
-        else:
-            self._valid_end = off
-        self._records = records
+            frames.append((body, length))
+            off = end + 4
+        self._data = data
+        self._frames = frames
 
-    def _torn(self, recover: bool, offset: int, records: list[dict], what: str) -> None:
+    def _damaged(self, what: str, index: int) -> CorruptStore:
+        offset = self._frames[index][0] - 4
+        return CorruptStore(
+            f"{what} at offset {offset} in {self.path}",
+            offset=offset,
+            records_recovered=index,
+        )
+
+    def decode(self, index: int) -> dict:
+        """Parse the ``index``-th frame read at open.
+
+        Raises:
+            CorruptStore: the body is not UTF-8 JSON.
+        """
+        off, length = self._frames[index]
+        try:
+            return json.loads(self._data[off : off + length].decode("utf-8"))
+        except ValueError:  # UnicodeDecodeError or JSONDecodeError
+            raise self._damaged("undecodable record", index)
+
+    def ids(self, key: str) -> list[str]:
+        """The string each frame read at open holds under the top-level
+        ``key``, read from the bytes without decoding the record.
+
+        Records are canonical JSON with sorted keys, and every top-level key
+        of the stores' records that sorts after their id key holds a scalar.
+        So the value is the string after the last ``"<key>":"`` in the body:
+        inside a JSON string every quote is escaped, and a nested key of the
+        same name comes earlier.
+
+        Raises:
+            CorruptStore: a frame with no such string.
+        """
+        needle = f'"{key}":"'.encode()
+        unreadable = f"record without a readable {key}"
+        data = self._data
+        out = []
+        for index, (off, length) in enumerate(self._frames):
+            end = off + length
+            start = data.rfind(needle, off, end) + len(needle)
+            stop = data.find(b'"', start, end) if start > off else -1
+            if stop < 0:
+                raise self._damaged(unreadable, index)
+            raw = data[start:stop]
+            try:
+                if b"\\" in raw:
+                    # An escape comes before the first quote: let the JSON
+                    # scanner find where the string really ends.
+                    out.append(scanstring(data[start:end].decode("utf-8"), 0)[0])
+                else:
+                    out.append(raw.decode("utf-8"))
+            except ValueError:  # UnicodeDecodeError or JSONDecodeError
+                raise self._damaged(unreadable, index)
+        return out
+
+    def _torn(self, recover: bool, offset: int, frames: list, what: str) -> None:
         if not recover:
             raise CorruptStore(
                 f"{what} at offset {offset} in {self.path}",
                 offset=offset,
-                records_recovered=len(records),
+                records_recovered=len(frames),
             )
         self.tail_torn = True
-        self._valid_end = offset
         if self.writable:
             self._fh.truncate(offset)
             self._fh.flush()
@@ -178,15 +240,16 @@ class RecordLog:
         if not self.writable:
             raise PersistenceError("store opened read-only")
         body = _canonical(payload)
-        frame = struct.pack("<I", len(body)) + body + struct.pack("<I", zlib.crc32(body))
+        frame = _U32.pack(len(body)) + body + _U32.pack(zlib.crc32(body))
         self._fh.seek(0, os.SEEK_END)
         self._fh.write(frame)
         self._fh.flush()
         os.fsync(self._fh.fileno())
-        self._records.append(payload)
+        self._appended.append(payload)
 
     def records(self) -> list[dict]:
-        return list(self._records)
+        """Every record in log order, the ones read at open decoded now."""
+        return [self.decode(i) for i in range(len(self._frames))] + self._appended
 
     def close(self) -> None:
         if self._fh is not None:
@@ -236,14 +299,27 @@ class ManifestRecord:
 
 
 class _IndexedLog:
-    """A RecordLog indexed by the id each record holds under ``_id_key``:
-    the newest record per id, built once at open, extended on each append."""
+    """A RecordLog indexed by the id each record holds under ``_id_key``.
+
+    Open maps each id to the position of its newest frame, reading the id
+    from the bytes (``RecordLog.ids``) without decoding any record; a frame
+    with no readable id fails the open with CorruptStore. A lookup decodes
+    the newest frame on first use and keeps the dict; records appended since
+    open are indexed as the payloads passed in. A body that is not JSON, or
+    whose id differs from the indexed one, raises CorruptStore at that
+    lookup.
+    """
 
     _id_key: str
 
     def __init__(self, path: str | Path, writable: bool = True, recover: bool = False):
         self.log = RecordLog(path, writable=writable, recover=recover)
-        self._latest: dict[str, dict] = {r[self._id_key]: r for r in self.log.records()}
+        try:
+            ids = self.log.ids(self._id_key)
+        except CorruptStore:
+            self.log.close()
+            raise
+        self._latest: dict[str, dict | int] = dict(zip(ids, range(len(ids))))
 
     @property
     def tail_torn(self) -> bool:
@@ -253,8 +329,19 @@ class _IndexedLog:
         self.log.append(payload)
         self._latest[payload[self._id_key]] = payload
 
-    def _newest(self, record_id: str, what: str) -> dict:
+    def _find(self, record_id: str) -> dict | None:
+        """The newest record under ``record_id``, decoded once, or None."""
         newest = self._latest.get(record_id)
+        if newest is None or isinstance(newest, dict):
+            return newest
+        payload = self.log.decode(newest)
+        if not isinstance(payload, dict) or payload.get(self._id_key) != record_id:
+            raise self.log._damaged(f"record not indexed under {record_id!r}", newest)
+        self._latest[record_id] = payload
+        return payload
+
+    def _newest(self, record_id: str, what: str) -> dict:
+        newest = self._find(record_id)
         if newest is None:
             raise NotFound(f"no {what} record for {record_id!r}")
         return newest
@@ -276,7 +363,7 @@ class ManifestStore(_IndexedLog):
 
     def commit(self, record: ManifestRecord) -> ManifestRecord:
         """Append the next version of this object's record and return it."""
-        newest = self._latest.get(record.object_id)
+        newest = self._find(record.object_id)
         version = newest["version"] + 1 if newest is not None else 1
         stamped = replace(record, version=version)
         self._append(stamped.to_payload())

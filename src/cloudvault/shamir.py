@@ -68,10 +68,6 @@ class ShareScheme:
                 f"{self.field.order}"
             )
 
-    def corruption_tolerance(self) -> int:
-        """Shares that may be lost or damaged while recovery stays possible."""
-        return self.share_count - self.threshold
-
 
 @dataclass(frozen=True)
 class Share:

@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import json
 import random
+import warnings
 
 import pytest
 
@@ -266,6 +268,29 @@ def test_simulate_exit_code_follows_expectations(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "expect.get_ok=fail" in out
     assert "scenario=fail" in out
+
+
+def test_commands_close_the_stores_they_open(tmp_path, capsys):
+    src = tmp_path / "p.bin"
+    src.write_bytes(random.Random(13).randbytes(600))
+    object_id = hashlib.sha256(src.read_bytes()).hexdigest()[:16]
+    scenario = tmp_path / "s.txt"
+    scenario.write_text("payload_bytes = 256\nexpect = get_ok audit_clean\n")
+    commands = [
+        ["put", str(src), "--level", "secret"],
+        ["get", object_id, "--out", str(tmp_path / "out.bin")],
+        ["audit", object_id],
+        ["get", "ghost"],  # a failing command closes its stores too
+        ["simulate", str(scenario)],
+    ]
+    for command in commands:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            main([*_paths(tmp_path), *command])
+            gc.collect()
+        leaked = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert not leaked, (command, [str(w.message) for w in leaked])
+    capsys.readouterr()
 
 
 def test_insider_safe_needs_the_provider_marked_insider(tmp_path, capsys):

@@ -54,13 +54,6 @@ def test_keygen_deterministic_and_exact_bits():
     assert a.p != a.q
 
 
-def test_insecure_flag():
-    assert keygen(128, random.Random(53)).public.insecure
-    # 2048-bit generation is slow; the flag logic is pure arithmetic.
-    assert not PublicKey(n=1 << 2047).insecure
-    assert PublicKey(n=(1 << 2047) - 1).insecure
-
-
 def test_round_trip_random_plaintexts():
     kp = keygen(128, random.Random(54))
     rng = random.Random(55)

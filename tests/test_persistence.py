@@ -1,3 +1,4 @@
+import json
 import struct
 import zlib
 
@@ -25,6 +26,19 @@ def _record(oid, pipeline="LocalOnly", **details):
         object_id=oid, pipeline=pipeline, secret_level="secret",
         operation_class="none", object_digest="d" * 64, details=details,
     )
+
+
+def _write_frames(path, bodies):
+    """A store file holding ``bodies`` as checksummed frames, written
+    directly (no fsync per record)."""
+    out = bytearray(STORE_MAGIC)
+    for body in bodies:
+        out += struct.pack("<I", len(body)) + body + struct.pack("<I", zlib.crc32(body))
+    path.write_bytes(bytes(out))
+
+
+def _canonical(payload):
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
 
 
 def test_commit_and_lookup(tmp_path):
@@ -119,6 +133,24 @@ def test_interior_corruption_always_fatal(tmp_path):
         ManifestStore(str(path), writable=False, recover=True)
 
 
+@pytest.mark.parametrize("damage", ["torn tail", "frame without id"])
+def test_failed_open_releases_the_writer_lock(tmp_path, damage):
+    path = tmp_path / "m.cmf"
+    with ManifestStore(str(path)) as store:
+        store.commit(_record("a"))
+    if damage == "torn tail":
+        path.write_bytes(path.read_bytes() + b"\x05\x00")
+    else:
+        _write_frames(path, [b'{"k":1}'])
+    with pytest.raises(CorruptStore) as failed:
+        ManifestStore(str(path))
+    # ``failed`` keeps the traceback alive, and with it the half-built store.
+    assert failed.traceback
+    path.write_bytes(STORE_MAGIC)
+    with ManifestStore(str(path)) as store:
+        assert store.commit(_record("b")).version == 1
+
+
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "m.cmf"
     path.write_bytes(b"NOPE" + bytes(20))
@@ -181,3 +213,119 @@ def test_scan_for_bytes():
     assert not scan_for_bytes(b"abcdef", b"xyz")
     assert not scan_for_bytes(b"", b"a")
     assert not scan_for_bytes(b"a", b"")  # an empty secret cannot leak
+
+
+def test_lookup_decodes_only_the_record_it_returns(tmp_path, monkeypatch):
+    path = tmp_path / "m.cmf"
+    _write_frames(
+        path,
+        [_canonical(_record(f"o{i}", n=i).to_payload() | {"version": 1}) for i in range(1000)],
+    )
+    decoded = []
+    real_loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda *a, **k: decoded.append(1) or real_loads(*a, **k))
+    store = ManifestStore(str(path), writable=False)
+    assert store.lookup("o417").details == {"n": 417}
+    assert len(decoded) <= 1
+    store.lookup("o417")  # the decoded record is kept
+    assert len(decoded) <= 1
+    store.close()
+
+
+@pytest.mark.parametrize(
+    "oid",
+    [
+        'quote"and\\backslash',
+        "non-ascii ü中\U0001f600",
+        'text "object_id":"decoy" inside',
+        '\\"object_id\\":\\"',
+    ],
+)
+def test_ids_with_escapes_look_up_after_a_reopen(tmp_path, oid):
+    path = str(tmp_path / "m.cmf")
+    with ManifestStore(path) as store:
+        store.commit(_record(oid, note="wanted"))
+        store.commit(_record("decoy", note="other"))
+    with ManifestStore(path, writable=False) as reopened:
+        assert reopened.lookup(oid).details == {"note": "wanted"}
+        assert reopened.lookup("decoy").details == {"note": "other"}
+
+
+def test_nested_id_keys_do_not_shadow_the_record_id(tmp_path):
+    path = str(tmp_path / "m.cmf")
+    details = {"object_id": "inner", "deeper": {"object_id": "innermost"}}
+    with ManifestStore(path) as store:
+        store.commit(_record("outer", **details))
+    with ManifestStore(path, writable=False) as reopened:
+        assert reopened.lookup("outer").details == details
+        for nested in ("inner", "innermost"):
+            with pytest.raises(NotFound):
+                reopened.lookup(nested)
+
+
+def test_legacy_keystore_records_with_kind_and_version(tmp_path):
+    path = tmp_path / "k.cmf"
+    _write_frames(
+        path,
+        [
+            _canonical({"key_id": "itok:a", "kind": "itok", "version": 1, "data": {"v": 1}}),
+            _canonical({"key_id": "iround:a", "kind": "iround", "version": 1, "data": {"n": 1}}),
+            _canonical({"key_id": "iround:a", "kind": "iround", "version": 2, "data": {"n": 2}}),
+            _canonical({"key_id": "iround:a", "data": {"n": 3}}),
+        ],
+    )
+    with KeyStore(str(path), writable=False) as ks:
+        assert ks.get("itok:a") == {"v": 1}
+        assert ks.get("iround:a") == {"n": 3}
+
+
+def test_undecodable_body_fails_when_read(tmp_path):
+    # The checksum holds, so open accepts the frame; reading it fails.
+    path = tmp_path / "m.cmf"
+    good = _canonical(_record("a").to_payload() | {"version": 1})
+    _write_frames(path, [good, b'{"details":{},"object_id":"b",', b'\xff{"object_id":"c"}'])
+    store = ManifestStore(str(path), writable=False)
+    assert store.lookup("a").object_id == "a"
+    for oid in ("b", "c"):
+        with pytest.raises(CorruptStore):
+            store.lookup(oid)
+    with pytest.raises(CorruptStore):
+        store.log.records()
+    store.close()
+
+
+def test_record_not_matching_its_indexed_id_fails_when_read(tmp_path):
+    # Not canonical: a nested id after the top-level one.
+    path = tmp_path / "m.cmf"
+    _write_frames(path, [b'{"object_id":"a","pipeline":{"object_id":"b"}}'])
+    with ManifestStore(str(path), writable=False) as store:
+        with pytest.raises(CorruptStore):
+            store.lookup("b")
+
+
+@pytest.mark.parametrize(
+    "body", [b'{"k":1}', b'{"object_id":1}', b'{"object_id":"unterminated', b'not json']
+)
+def test_frame_without_a_readable_id_fails_at_open(tmp_path, body):
+    path = tmp_path / "m.cmf"
+    _write_frames(path, [_canonical(_record("a").to_payload()), body])
+    with pytest.raises(CorruptStore):
+        ManifestStore(str(path), writable=False)
+
+
+def test_writable_reopen_continues_the_version_count(tmp_path):
+    path = str(tmp_path / "m.cmf")
+    with ManifestStore(path) as store:
+        store.commit(_record("a", rev="one"))
+        store.commit(_record("a", rev="two"))
+        store.commit(_record("b", rev="one"))
+    with ManifestStore(path) as store:
+        assert store.commit(_record("a", rev="three")).version == 3
+        assert store.lookup("a").details == {"rev": "three"}
+        assert store.commit(_record("a", rev="four")).version == 4
+        assert [(r["object_id"], r["version"]) for r in store.log.records()] == [
+            ("a", 1), ("a", 2), ("b", 1), ("a", 3), ("a", 4),
+        ]
+    with ManifestStore(path, writable=False) as reopened:
+        assert reopened.lookup("a").version == 4
+        assert reopened.lookup("b").version == 1

@@ -66,11 +66,6 @@ def test_below_threshold_raises():
         reconstruct([])
 
 
-def test_corruption_tolerance():
-    assert ShareScheme(2, 5).corruption_tolerance() == 3
-    assert ShareScheme(5, 5).corruption_tolerance() == 0
-
-
 def test_scheme_validation():
     with pytest.raises(InvalidScheme):
         ShareScheme(threshold=0, share_count=3)
