@@ -9,6 +9,10 @@ possible. The search is a dynamic program over (block position, chunks used)
 with max-min composition and is exact: it returns the same objective as
 brute-force enumeration of every admissible split.
 
+The table of every chunk's divergence is a numpy array, and numpy is
+imported inside ``pairwise_chunk_divergence`` only: a one-chunk plan never
+builds the table, so a small object's put does not load numpy.
+
 The chunks are then scattered into storage slots by a uniform random
 permutation (``draw_permutation``, ``scatter``; ``reassemble`` inverts it).
 The permutation never leaves the local machine; an attacker who captures the
@@ -21,9 +25,10 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class EntropySplitError(Exception):
@@ -108,6 +113,8 @@ def pairwise_chunk_divergence(data: bytes, block_size: int) -> np.ndarray:
     is NaN. plan_split maximizes over exactly this table, so an enumeration
     that reads the same table reproduces its objective bit for bit.
     """
+    import numpy as np
+
     if not data:
         raise EmptyInput("empty input")
     bounds = block_boundaries(len(data), block_size)

@@ -10,21 +10,21 @@ Two field families, and every element of either fits in one byte:
   hand-checkable, so tests can pin exact expected values.
 
 Elements are plain ints in ``[0, order)``. The scalar methods serve
-per-point work such as Lagrange weights. Per-byte work goes through one
-kernel: each field exposes 256x256 uint8 ``add_table`` and ``mul_table``
-arrays, where entry [a, b] is a + b (a * b), indexed with whole numpy byte
-arrays at once. Rows and columns at or above a prime field's order are not
-elements; callers check their inputs first. Field objects and their tables
-are immutable, so a single instance may be shared freely. None of this is
-constant-time; it protects simulated data at desk scale.
+per-point work such as Lagrange weights. Per-byte work runs on whole byte
+strings through two operations: ``mul_row(c)`` is the 256-byte table whose
+entry b is c * b, so ``data.translate(f.mul_row(c))`` multiplies every byte
+of ``data`` by the constant c in one C loop; ``add_bytes(a, b)`` adds two
+equal-length strings bytewise. Entries at or above a prime field's order
+are not elements; callers check their inputs first. Field objects are
+immutable and their rows are cached per constant, so a single instance may
+be shared freely. None of this is constant-time; it protects simulated data
+at desk scale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-
-import numpy as np
+from functools import cache
 
 GF256_POLY = 0x11B
 GF256_GENERATOR = 3
@@ -75,23 +75,20 @@ def _build_tables() -> tuple[list[int], list[int]]:
     return exp, log
 
 
-def _readonly(table: np.ndarray) -> np.ndarray:
-    table.flags.writeable = False
-    return table
-
-
 _EXP, _LOG = _build_tables()
 _INV = [0] + [_EXP[(255 - _LOG[a]) % 255] for a in range(1, 256)]
 
-_BYTES = np.arange(256, dtype=np.uint8)
-_GF256_ADD = _readonly(np.bitwise_xor.outer(_BYTES, _BYTES))
-# log a + log b stays below 2 * 255, so a doubled exp table needs no modulo.
-_GF256_MUL = np.array(_EXP * 2, dtype=np.uint8)[
-    np.add.outer(np.array(_LOG), np.array(_LOG))
-]
-_GF256_MUL[0, :] = 0
-_GF256_MUL[:, 0] = 0
-_readonly(_GF256_MUL)
+
+# Rows are cached under int keys: hashing a dataclass instance would cost
+# more than the lookup it keys.
+@cache
+def _gf256_row(c: int) -> bytes:
+    return bytes(BinaryField().mul(c, b) for b in range(256))
+
+
+@cache
+def _prime_row(p: int, c: int) -> bytes:
+    return bytes(c * b % p for b in range(256))
 
 
 @dataclass(frozen=True)
@@ -99,8 +96,7 @@ class PrimeField:
     """Integers mod p under the usual arithmetic.
 
     p must be prime (checked here, not trusted) and at most 256, so every
-    element is a byte and the tables stay 256x256. The tables are built on
-    first use.
+    element is a byte.
     """
 
     p: int
@@ -115,15 +111,13 @@ class PrimeField:
     def order(self) -> int:
         return self.p
 
-    @cached_property
-    def add_table(self) -> np.ndarray:
-        wide = np.arange(256)
-        return _readonly((np.add.outer(wide, wide) % self.p).astype(np.uint8))
+    def mul_row(self, c: int) -> bytes:
+        """Translate table for multiplying by c: entry b is c * b mod p."""
+        return _prime_row(self.p, c)
 
-    @cached_property
-    def mul_table(self) -> np.ndarray:
-        wide = np.arange(256)
-        return _readonly((np.multiply.outer(wide, wide) % self.p).astype(np.uint8))
+    def add_bytes(self, a: bytes, b: bytes) -> bytes:
+        """Bytewise sum mod p of two equal-length strings."""
+        return bytes((x + y) % self.p for x, y in zip(a, b))
 
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p
@@ -158,13 +152,15 @@ class BinaryField:
     def order(self) -> int:
         return 256
 
-    @property
-    def add_table(self) -> np.ndarray:
-        return _GF256_ADD
+    def mul_row(self, c: int) -> bytes:
+        """Translate table for multiplying by c: entry b is c * b."""
+        return _gf256_row(c)
 
-    @property
-    def mul_table(self) -> np.ndarray:
-        return _GF256_MUL
+    def add_bytes(self, a: bytes, b: bytes) -> bytes:
+        """Bytewise XOR of two equal-length strings."""
+        return (int.from_bytes(a, "little") ^ int.from_bytes(b, "little")).to_bytes(
+            len(a), "little"
+        )
 
     def add(self, a: int, b: int) -> int:
         return a ^ b

@@ -32,8 +32,10 @@ same steps independently):
   (duplicates skipped, result sorted ascending), then one nonzero
   coefficient per row in row order.
 
-A token is the GF(2^8) sum of coefficient * row byte over the sampled rows:
-one gather of those rows from every column and one ``mul_table`` lookup.
+A token is the GF(2^8) sum of coefficient * row byte over the sampled rows.
+The precompute takes row r of every column as one strided slice of the
+joined columns, so each sampled row costs one ``translate`` and one XOR for
+all columns of the round.
 
 A token table is immutable and ``challenge``/``verify`` are pure. Each round
 may be challenged only once; which rounds are spent is the caller's record
@@ -47,14 +49,12 @@ import struct
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .field import BinaryField
 
 CHALLENGE_MAGIC = b"CIT1"
 # The byte after the magic names the field; GF(2^8), tag 0x00, is the only one.
 _GF256_TAG = b"\x00"
-_MUL = BinaryField().mul_table
+_GF = BinaryField()
 
 
 class IntegrityError(Exception):
@@ -179,23 +179,15 @@ def derive_challenge(
     return rows, coeffs
 
 
-def _tokens(
-    columns: np.ndarray, rows: Sequence[int], coeffs: Sequence[int]
-) -> np.ndarray:
-    """One round's token for every stored column; ``columns`` is a uint8
-    array holding one stored column per array row."""
-    gathered = columns[:, np.asarray(rows, dtype=np.intp)]
-    products = _MUL[np.asarray(coeffs, dtype=np.uint8), gathered]
-    return np.bitwise_xor.reduce(products, axis=1)
-
-
 def column_token(column: bytes, rows: Sequence[int], coeffs: Sequence[int]) -> int:
     """Linear combination of the sampled rows: the audit's expected answer."""
     for r in rows:
         if not 0 <= r < len(column):
             raise OutOfRange(f"row {r} outside column of length {len(column)}")
-    stacked = np.frombuffer(column, dtype=np.uint8)[None, :]
-    return int(_tokens(stacked, rows, coeffs)[0])
+    acc = 0
+    for r, c in zip(rows, coeffs):
+        acc ^= _GF.mul(c, column[r])
+    return acc
 
 
 @dataclass(frozen=True)
@@ -251,18 +243,18 @@ def precompute_tokens(
         raise InvalidChallenge(
             f"sample size {sample_size} outside [1, {enc.column_length}]"
         )
-    columns = np.frombuffer(b"".join(enc.columns), dtype=np.uint8).reshape(
-        len(enc.columns), enc.column_length
-    )
-    per_round = np.stack(
-        [
-            _tokens(columns, *derive_challenge(master_key, i, enc.column_length, sample_size))
-            for i in range(rounds)
-        ],
-        axis=1,
-    )
+    joined = b"".join(enc.columns)
+    count, length = len(enc.columns), enc.column_length
+    per_round = []
+    for i in range(rounds):
+        # joined[r::length] is row r of every column, so byte j of acc
+        # ends up as column j's token.
+        acc = 0
+        for r, c in zip(*derive_challenge(master_key, i, length, sample_size)):
+            acc ^= int.from_bytes(joined[r::length].translate(_GF.mul_row(c)), "little")
+        per_round.append(acc.to_bytes(count, "little"))
     return TokenTable(
-        tokens=tuple(tuple(col) for col in per_round.tolist()),
+        tokens=tuple(zip(*per_round)),
         sample_size=sample_size,
         rounds=rounds,
         column_length=enc.column_length,

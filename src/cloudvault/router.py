@@ -234,8 +234,10 @@ class Router:
         # Secret data; the operations tier picks the mechanism.
         if ops is OperationClass.NO_OPERATIONS:
             k, n, c = self.policy.resolve(len(providers))
-            if n < 1 or not 1 <= k <= n:
-                raise PlacementError(f"unusable scheme parameters k={k}, n={n}")
+            try:
+                shamir.ShareScheme(threshold=k, share_count=n)
+            except shamir.InvalidScheme as e:
+                raise PlacementError(f"unusable scheme parameters k={k}, n={n}: {e}")
             per_provider = math.ceil(n / len(providers))
             if per_provider >= max(k, 2):
                 raise PlacementError(

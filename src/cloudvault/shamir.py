@@ -13,8 +13,9 @@ often and therefore says nothing about it.
 A share's payload is bytes, one field element per secret byte, and is what
 a provider stores as is; the scheme, the evaluation point and the object id
 stay in the local manifest. Both directions work on all byte positions at
-once by indexing the field's ``add_table`` and ``mul_table`` with numpy
-arrays.
+once: each step multiplies a whole byte string by one field constant
+(``translate`` through the field's ``mul_row``) and adds two strings with
+the field's ``add_bytes``.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .field import BinaryField, FieldSpec
 
@@ -107,24 +106,20 @@ def split(
         raise ValueError("cannot split an empty secret")
     f = scheme.field
     f.check(max(secret))
-    data = np.frombuffer(secret, dtype=np.uint8)
-    draws = len(secret) * (scheme.threshold - 1)
+    degree = scheme.threshold - 1
     # One randrange call per coefficient keeps the draw order, and lets a
     # caller pin coefficients by overriding randrange alone.
-    coeffs = np.fromiter(
-        (rng.randrange(f.order) for _ in range(draws)), dtype=np.uint8, count=draws
-    ).reshape(len(secret), scheme.threshold - 1)
-    add, mul = f.add_table, f.mul_table
+    coeffs = bytes([rng.randrange(f.order) for _ in range(len(secret) * degree)])
+    # terms[j] holds the x^j coefficient of every byte's polynomial.
+    terms = [secret, *(coeffs[j::degree] for j in range(degree))]
     shares = []
     for x in range(1, scheme.share_count + 1):
         # Horner over every byte at once, highest coefficient first.
-        acc = np.zeros_like(data)
-        for j in reversed(range(scheme.threshold - 1)):
-            acc = add[mul[x][acc], coeffs[:, j]]
-        acc = add[mul[x][acc], data]
-        shares.append(
-            Share(x=x, payload=acc.tobytes(), scheme=scheme, object_id=object_id)
-        )
+        row = f.mul_row(x)
+        acc = terms[-1]
+        for term in reversed(terms[:-1]):
+            acc = f.add_bytes(acc.translate(row), term)
+        shares.append(Share(x=x, payload=acc, scheme=scheme, object_id=object_id))
     return shares
 
 
@@ -173,8 +168,7 @@ def reconstruct(shares: Sequence[Share]) -> bytes:
             den = f.mul(den, f.sub(xj, xi))
         weights.append(f.mul(num, f.inv(den)))
 
-    add, mul = f.add_table, f.mul_table
-    acc = np.zeros(len(first.payload), dtype=np.uint8)
+    acc = bytes(len(first.payload))
     for w, s in zip(weights, use):
-        acc = add[acc, mul[w][np.frombuffer(s.payload, dtype=np.uint8)]]
-    return acc.tobytes()
+        acc = f.add_bytes(acc, s.payload.translate(f.mul_row(w)))
+    return acc

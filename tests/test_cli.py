@@ -1,8 +1,12 @@
 import gc
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -464,6 +468,8 @@ _LEGACY_BLOB_WITHOUT_DATA = json.dumps({
                      "ConfigError", id="config-negative-raw-metric"),
         pytest.param("config", "providers = a\nprovider.a.nodes = n0:-1\n", "ConfigError",
                      id="config-negative-depth"),
+        pytest.param("config", "providers = a, b\nshare_count = 300\n", "PlacementError",
+                     id="config-share-count-above-field"),
     ],
 )
 def test_malformed_input_exits_one_with_a_named_error(tmp_path, capsys, case, text, error):
@@ -486,3 +492,41 @@ def test_malformed_input_exits_one_with_a_named_error(tmp_path, capsys, case, te
     assert "Traceback" not in captured.out + captured.err
     if case == "inject":
         assert text.split(":")[0] + ":<provider>" in _kv(captured.err)["message"]
+
+
+_NUMPY_PROBE = """
+import random, sys
+from cloudvault.cli import main
+
+def run(*args):
+    assert main(["--manifest", "m.cmf", "--keystore", "k.cmf", "--state-dir", "state",
+                 *args]) == 0
+
+rng = random.Random(5)
+for name, level in [("s.bin", "secret"), ("p.bin", "unclassified")]:
+    open(name, "wb").write(rng.randbytes(4096))
+    run("put", name, "--level", level, "--object-id", name)
+    run("get", name, "--out", name + ".out")
+    assert open(name + ".out", "rb").read() == open(name, "rb").read()
+    run("audit", name)
+print("numpy_after_small=" + str("numpy" in sys.modules))
+open("big.bin", "wb").write(rng.randbytes(20 * 1024))
+run("put", "big.bin", "--level", "secret")
+print("numpy_after_big=" + str("numpy" in sys.modules))
+"""
+
+
+def test_small_object_commands_never_import_numpy(tmp_path):
+    # A fresh interpreter, because this test process has long loaded numpy.
+    env = {k: v for k, v in os.environ.items() if k != "CLOUDVAULT_CONFIG"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    kv = _kv(done.stdout)
+    assert kv["numpy_after_small"] == "False"
+    # Five chunks under the default 4 KiB block: only this plan needs numpy.
+    assert kv["chunk_count"] == "5"
+    assert kv["numpy_after_big"] == "True"

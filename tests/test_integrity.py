@@ -265,12 +265,16 @@ def test_tokens_match_scalar_field_sums():
     gf = BinaryField()
     rng = random.Random(48)
     key = rng.randbytes(32)
-    enc = encode(rng.randbytes(300), 5)
-    table = precompute_tokens(enc, 6, 9, key)
-    for rnd in range(6):
-        rows, coeffs = derive_challenge(key, rnd, enc.column_length, 9)
-        for col, column in enumerate(enc.columns):
-            acc = 0
-            for r, c in zip(rows, coeffs):
-                acc = gf.add(acc, gf.mul(c, column[r]))
-            assert table.tokens[col][rnd] == acc
+    # (payload bytes, columns, sample size): sampled rows, every row, and
+    # columns one byte long.
+    for size, columns, sample in [(300, 5, 9), (300, 5, 60), (4, 4, 1)]:
+        enc = encode(rng.randbytes(size), columns)
+        assert sample <= enc.column_length
+        table = precompute_tokens(enc, 6, sample, key)
+        for rnd in range(6):
+            rows, coeffs = derive_challenge(key, rnd, enc.column_length, sample)
+            for col, column in enumerate(enc.columns):
+                acc = 0
+                for r, c in zip(rows, coeffs):
+                    acc = gf.add(acc, gf.mul(c, column[r]))
+                assert table.tokens[col][rnd] == acc
