@@ -197,6 +197,8 @@ def settings_from_text(text: str) -> Settings:
     policy.share_count = geti("share_count", None)
     policy.chunk_count = geti("chunks", None)
     policy.block_size = geti("block", policy.block_size)
+    if policy.block_size < 1:
+        raise ConfigError(f"block must be at least 1, got {policy.block_size}")
     policy.token_rounds = geti("rounds", policy.token_rounds)
     policy.audit_rows = geti("audit_rows", policy.audit_rows)
     policy.he_bits = geti("he_bits", policy.he_bits)

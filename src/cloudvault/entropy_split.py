@@ -9,9 +9,11 @@ possible. The search is a dynamic program over (block position, chunks used)
 with max-min composition and is exact: it returns the same objective as
 brute-force enumeration of every admissible split.
 
-The table of every chunk's divergence is a numpy array, and numpy is
-imported inside ``pairwise_chunk_divergence`` only: a one-chunk plan never
-builds the table, so a small object's put does not load numpy.
+Divergences arrive one row at a time, a row holding every chunk that starts
+at one block boundary, and the dynamic program folds each row in as a few
+whole-array numpy operations, so memory stays linear in the block count.
+numpy is imported by the multi-chunk path only: a one-chunk plan returns
+first, so a small object's put does not load numpy.
 
 The chunks are then scattered into storage slots by a uniform random
 permutation (``draw_permutation``, ``scatter``; ``reassemble`` inverts it).
@@ -25,7 +27,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -105,37 +107,37 @@ def block_boundaries(length: int, block_size: int) -> list[int]:
     return bounds
 
 
+def _divergence_rows(data: bytes, block_size: int) -> Iterator[np.ndarray]:
+    """Yield row a: relative_entropy(file, data[bounds[a]:bounds[b]]) for each b > a."""
+    import numpy as np
+
+    arr = np.frombuffer(data, dtype=np.uint8)
+    bounds = block_boundaries(len(data), block_size)
+    hist = [np.bincount(arr[a:b], minlength=256) for a, b in zip(bounds, bounds[1:])]
+    prefix = np.cumsum([np.zeros(256, dtype=np.int64), *hist], axis=0)
+    pf = (prefix[-1] + 1) / (len(data) + 256)
+    log_pf = np.log(pf)
+    for a in range(len(hist)):
+        seg = prefix[a + 1 :] - prefix[a]
+        pc = (seg + 1) / (seg.sum(axis=1) + 256)[:, None]
+        yield (pf * (log_pf - np.log(pc))).sum(axis=1)
+
+
 def pairwise_chunk_divergence(data: bytes, block_size: int) -> np.ndarray:
     """Divergence of every block-aligned chunk from the whole file.
 
-    Entry [a, b] is relative_entropy(file, data[bounds[a]:bounds[b]]) for
-    a < b over the boundary list of ``block_boundaries``; the lower triangle
-    is NaN. plan_split maximizes over exactly this table, so an enumeration
-    that reads the same table reproduces its objective bit for bit.
+    Entry [a, b] is row a of ``_divergence_rows`` for a < b; the lower
+    triangle is NaN. plan_split maximizes over exactly these values, so an
+    enumeration that reads this table reproduces its objective bit for bit.
     """
     import numpy as np
 
     if not data:
         raise EmptyInput("empty input")
-    bounds = block_boundaries(len(data), block_size)
-    nb = len(bounds) - 1
-    arr = np.frombuffer(data, dtype=np.uint8)
-    hist = np.zeros((nb, 256), dtype=np.int64)
-    for i in range(nb):
-        hist[i] = np.bincount(arr[bounds[i] : bounds[i + 1]], minlength=256)
-    prefix = np.zeros((nb + 1, 256), dtype=np.int64)
-    np.cumsum(hist, axis=0, out=prefix[1:])
-
-    seg = prefix[None, :, :] - prefix[:, None, :]
-    valid = np.tri(nb + 1, nb + 1, -1, dtype=bool).T  # b > a
-    seg = np.where(valid[:, :, None], seg, 0)
-    totals = seg.sum(axis=2)
-
-    pf = (prefix[nb] + 1) / (len(data) + 256)
-    log_pf = np.log(pf)
-    pc = (seg + 1) / (totals + 256)[:, :, None]
-    kl = (pf[None, None, :] * (log_pf[None, None, :] - np.log(pc))).sum(axis=2)
-    kl[~valid] = np.nan
+    nb = len(block_boundaries(len(data), block_size)) - 1
+    kl = np.full((nb + 1, nb + 1), np.nan)
+    for a, row in enumerate(_divergence_rows(data, block_size)):
+        kl[a, a + 1 :] = row
     return kl
 
 
@@ -163,37 +165,32 @@ def plan_split(data: bytes, chunk_count: int, block_size: int = DEFAULT_BLOCK_SI
             f"{chunk_count} chunks at block size {block_size} need "
             f"{chunk_count * block_size} bytes, have {len(data)}"
         )
+    import numpy as np
 
     bounds = block_boundaries(len(data), block_size)
     nb = len(bounds) - 1
-    kl = pairwise_chunk_divergence(data, block_size)
+    # best[c, b]: best achievable min-divergence splitting blocks [0, b) into
+    # c + 1 chunks; last[c, b]: that split's last cut. Max-min composes
+    # monotonically, so the per-cell max over the last cut is globally
+    # optimal. best[:, a] is final once rows before a are folded in, and
+    # rows arrive in ascending a, so the strict > keeps the earliest cut.
+    best = np.full((chunk_count, nb + 1), -np.inf)
+    last = np.zeros((chunk_count, nb + 1), dtype=np.intp)
+    rows = _divergence_rows(data, block_size)
+    best[0, 1:] = next(rows)
+    for a, row in enumerate(rows, 1):
+        cand = np.minimum(best[:-1, a, None], row)
+        tail = best[1:, a + 1 :]
+        better = cand > tail
+        tail[better] = cand[better]
+        last[1:, a + 1 :][better] = a
 
-    # dp[c][b]: best achievable min-divergence splitting blocks [0, b) into c
-    # chunks. Max-min composes monotonically, so the per-cell max over the
-    # last cut position is globally optimal.
-    neg = float("-inf")
-    dp = [[neg] * (nb + 1) for _ in range(chunk_count + 1)]
-    parent = [[-1] * (nb + 1) for _ in range(chunk_count + 1)]
-    for b in range(1, nb + 1):
-        dp[1][b] = float(kl[0, b])
-    for c in range(2, chunk_count + 1):
-        for b in range(c, nb + 1):
-            best, arg = neg, -1
-            for a in range(c - 1, b):
-                v = min(dp[c - 1][a], float(kl[a, b]))
-                if v > best:
-                    best, arg = v, a
-            dp[c][b] = best
-            parent[c][b] = arg
-
-    cuts_blocks = []
+    cuts = []
     b = nb
-    for c in range(chunk_count, 1, -1):
-        b = parent[c][b]
-        cuts_blocks.append(b)
-    cuts_blocks.reverse()
-    cut_points = tuple(bounds[i] for i in cuts_blocks)
-    return SplitPlan(cut_points, chunk_count, dp[chunk_count][nb])
+    for c in range(chunk_count - 1, 0, -1):
+        b = int(last[c, b])
+        cuts.append(bounds[b])
+    return SplitPlan(tuple(reversed(cuts)), chunk_count, float(best[-1, nb]))
 
 
 def draw_permutation(rng: random.Random, count: int) -> tuple[int, ...]:

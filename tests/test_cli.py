@@ -468,6 +468,8 @@ _LEGACY_BLOB_WITHOUT_DATA = json.dumps({
                      "ConfigError", id="config-negative-raw-metric"),
         pytest.param("config", "providers = a\nprovider.a.nodes = n0:-1\n", "ConfigError",
                      id="config-negative-depth"),
+        pytest.param("config", "block = 0\n", "ConfigError", id="config-block-zero"),
+        pytest.param("config", "block = -4\n", "ConfigError", id="config-block-negative"),
         pytest.param("config", "providers = a, b\nshare_count = 300\n", "PlacementError",
                      id="config-share-count-above-field"),
     ],

@@ -1,8 +1,10 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
+import numpy  # noqa: F401  (loaded before tracemalloc starts, so its import is not counted)
 import pytest
 
 from cloudvault.entropy_split import (
@@ -111,6 +113,25 @@ def test_dp_matches_enumeration_small():
             plan = plan_split(data, c, block_size=16)
             assert plan.objective == _enumerate_best(data, c, 16)
             assert plan.chunk_count == c
+
+
+def test_planner_memory_is_linear_in_block_count():
+    # 257 boundaries: a (blocks + 1)² × 256 table of float64 alone is 135 MB.
+    data = random.Random(3).randbytes(16 << 10)
+    tracemalloc.start()
+    try:
+        plan_split(data, 4, block_size=64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20
+
+
+def test_ties_keep_the_earliest_cut():
+    # Identical blocks make every chunk's divergence tie exactly; stored
+    # bytes depend on the planner keeping the first cut that reaches the max.
+    assert plan_split(b"ab" * 96, 2, 64).cut_points == (64,)
+    assert plan_split(b"ab" * 160, 3, 64).cut_points == (64, 192)
 
 
 def test_single_chunk_always_feasible():
