@@ -21,15 +21,14 @@ Output is one ``key=value`` pair per line on stdout; failures print
 from __future__ import annotations
 
 import argparse
-import contextlib
 import hashlib
 import json
 import os
 import random
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
-from typing import Iterator
 
 from . import anonymize, entropy_split, homomorphic, integrity, persistence, simcloud
 from .config import ConfigError, Settings, load_settings, parse_kv
@@ -136,19 +135,24 @@ def _open_cloud(settings: Settings) -> simcloud.SimCloud:
         return simcloud.SimCloud.build(settings.topology, credential=settings.credential)
 
 
-@contextlib.contextmanager
-def _open_router(settings: Settings, rng: random.Random) -> Iterator[Router]:
-    """A Router over the configured state; both stores close on exit."""
+def _open_router(settings: Settings, rng: random.Random) -> Router:
+    """A Router over the configured state, to be used in ``with`` so that
+    both stores close."""
     cloud = _open_cloud(settings)
-    with ManifestStore(settings.manifest) as manifest, KeyStore(settings.keystore) as keystore:
-        yield Router(
-            cloud=cloud,
-            manifest=manifest,
-            keystore=keystore,
-            policy=settings.policy,
-            profiles=settings.profiles,
-            rng=rng,
-        )
+    manifest = ManifestStore(settings.manifest)
+    try:
+        keystore = KeyStore(settings.keystore)
+    except BaseException:
+        manifest.close()
+        raise
+    return Router(
+        cloud=cloud,
+        manifest=manifest,
+        keystore=keystore,
+        policy=settings.policy,
+        profiles=settings.profiles,
+        rng=rng,
+    )
 
 
 def _read_payload(path: str) -> bytes:
@@ -366,40 +370,34 @@ def _cmd_simulate(settings: Settings, args: argparse.Namespace) -> int:
     ops = OperationClass(scenario.get("ops", "none"))
 
     # Scenarios run on a throwaway fleet and stores; nothing persists.
-    with (
-        tempfile.TemporaryDirectory() as tmp,
-        ManifestStore(str(Path(tmp) / "manifest.cmf")) as manifest,
-        KeyStore(str(Path(tmp) / "keystore.cmf")) as keystore,
-    ):
-        cloud = simcloud.SimCloud.build(settings.topology, credential=settings.credential)
-        router = Router(
-            cloud=cloud,
-            manifest=manifest,
-            keystore=keystore,
-            policy=settings.policy,
-            profiles=settings.profiles,
-            rng=random.Random(f"{settings.seed}:{object_id}"),
+    with tempfile.TemporaryDirectory() as tmp:
+        scratch = replace(
+            settings,
+            state_dir=tmp,
+            manifest=str(Path(tmp) / "manifest.cmf"),
+            keystore=str(Path(tmp) / "keystore.cmf"),
         )
-        obj = DataObject(
-            object_id=object_id,
-            payload=payload,
-            secret_level=level,
-            operation_class=ops,
-        )
-        record = router.put(obj)
-        print(f"pipeline={record.pipeline}")
+        with _open_router(scratch, random.Random(f"{settings.seed}:{object_id}")) as router:
+            obj = DataObject(
+                object_id=object_id,
+                payload=payload,
+                secret_level=level,
+                operation_class=ops,
+            )
+            record = router.put(obj)
+            print(f"pipeline={record.pipeline}")
 
-        inject_items = [v for v in scenario.get("inject", "").split() if v]
-        _inject_faults(router, record, inject_items)
+            inject_items = [v for v in scenario.get("inject", "").split() if v]
+            _inject_faults(router, record, inject_items)
 
-        expectations = [v for v in scenario.get("expect", "").split() if v]
-        all_ok = True
-        for name in expectations:
-            ok = _check_expectation(name, router, object_id, payload)
-            all_ok = all_ok and ok
-            print(f"expect.{name}={'pass' if ok else 'fail'}")
-        print(f"scenario={'pass' if all_ok else 'fail'}")
-        return 0 if all_ok else 1
+            expectations = [v for v in scenario.get("expect", "").split() if v]
+            all_ok = True
+            for name in expectations:
+                ok = _check_expectation(name, router, object_id, payload)
+                all_ok = all_ok and ok
+                print(f"expect.{name}={'pass' if ok else 'fail'}")
+            print(f"scenario={'pass' if all_ok else 'fail'}")
+            return 0 if all_ok else 1
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -42,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
+from .homomorphic import MIN_KEY_BITS
 from .ranking import ProviderProfile, Weights, normalize_fleet
 from .router import DispersalPolicy
 
@@ -179,13 +180,16 @@ def settings_from_text(text: str) -> Settings:
         elif key not in _KNOWN_KEYS:
             raise ConfigError(f"unknown key {key!r}")
 
-    def geti(key: str, default: int | None) -> int | None:
+    def geti(key: str, default: int | None, least: int | None = None) -> int | None:
         if key not in kv:
             return default
         try:
-            return int(kv[key])
+            value = int(kv[key])
         except ValueError:
             raise ConfigError(f"{key} must be an integer, got {kv[key]!r}")
+        if least is not None and value < least:
+            raise ConfigError(f"{key} must be at least {least}, got {value}")
+        return value
 
     s.seed = geti("seed", 0)
     s.state_dir = kv.get("state_dir", s.state_dir)
@@ -193,15 +197,13 @@ def settings_from_text(text: str) -> Settings:
     s.keystore = kv.get("keystore", s.keystore)
     policy = s.policy
     policy.credential = kv.get("credential", "")
-    policy.threshold = geti("threshold", None)
-    policy.share_count = geti("share_count", None)
-    policy.chunk_count = geti("chunks", None)
-    policy.block_size = geti("block", policy.block_size)
-    if policy.block_size < 1:
-        raise ConfigError(f"block must be at least 1, got {policy.block_size}")
-    policy.token_rounds = geti("rounds", policy.token_rounds)
-    policy.audit_rows = geti("audit_rows", policy.audit_rows)
-    policy.he_bits = geti("he_bits", policy.he_bits)
+    policy.threshold = geti("threshold", None, 1)
+    policy.share_count = geti("share_count", None, 1)
+    policy.chunk_count = geti("chunks", None, 1)
+    policy.block_size = geti("block", policy.block_size, 1)
+    policy.token_rounds = geti("rounds", policy.token_rounds, 1)
+    policy.audit_rows = geti("audit_rows", policy.audit_rows, 1)
+    policy.he_bits = geti("he_bits", policy.he_bits, MIN_KEY_BITS)
 
     if "weights" in kv:
         parts = _split_list(kv["weights"])

@@ -49,12 +49,11 @@ import struct
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .field import BinaryField
+from . import field
 
 CHALLENGE_MAGIC = b"CIT1"
 # The byte after the magic names the field; GF(2^8), tag 0x00, is the only one.
 _GF256_TAG = b"\x00"
-_GF = BinaryField()
 
 
 class IntegrityError(Exception):
@@ -186,7 +185,7 @@ def column_token(column: bytes, rows: Sequence[int], coeffs: Sequence[int]) -> i
             raise OutOfRange(f"row {r} outside column of length {len(column)}")
     acc = 0
     for r, c in zip(rows, coeffs):
-        acc ^= _GF.mul(c, column[r])
+        acc ^= field.mul(c, column[r])
     return acc
 
 
@@ -251,7 +250,7 @@ def precompute_tokens(
         # ends up as column j's token.
         acc = 0
         for r, c in zip(*derive_challenge(master_key, i, length, sample_size)):
-            acc ^= int.from_bytes(joined[r::length].translate(_GF.mul_row(c)), "little")
+            acc ^= int.from_bytes(joined[r::length].translate(field.mul_row(c)), "little")
         per_round.append(acc.to_bytes(count, "little"))
     return TokenTable(
         tokens=tuple(zip(*per_round)),

@@ -204,6 +204,17 @@ class Router:
         self.profiles = dict(profiles or {})
         self.rng = rng if rng is not None else random.Random()
 
+    def close(self) -> None:
+        """Close the manifest and the keystore; the fleet holds no files."""
+        self.manifest.close()
+        self.keystore.close()
+
+    def __enter__(self) -> "Router":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
     # -- decision ---------------------------------------------------------
 
     def ranked_providers(self) -> list[str]:

@@ -1,4 +1,4 @@
-"""Threshold secret sharing over small finite fields.
+"""Threshold secret sharing over GF(2^8), one field element per secret byte.
 
 Every secret byte D becomes the constant term of its own random polynomial
 
@@ -14,8 +14,8 @@ A share's payload is bytes, one field element per secret byte, and is what
 a provider stores as is; the scheme, the evaluation point and the object id
 stay in the local manifest. Both directions work on all byte positions at
 once: each step multiplies a whole byte string by one field constant
-(``translate`` through the field's ``mul_row``) and adds two strings with
-the field's ``add_bytes``.
+(``translate`` through ``field.mul_row``) and adds two strings with
+``field.add_bytes``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .field import BinaryField, FieldSpec
+from . import field
 
 
 class ShamirError(Exception):
@@ -32,7 +32,7 @@ class ShamirError(Exception):
 
 
 class InvalidScheme(ShamirError):
-    """Scheme parameters violate 1 <= threshold <= share_count < field order."""
+    """Scheme parameters violate 1 <= threshold <= share_count < 256."""
 
 
 class InsufficientShares(ShamirError):
@@ -53,19 +53,15 @@ class ShareScheme:
 
     threshold: int
     share_count: int
-    field: FieldSpec = BinaryField()
 
     def __post_init__(self) -> None:
         if not 1 <= self.threshold <= self.share_count:
             raise InvalidScheme(
                 f"threshold {self.threshold} not in [1, {self.share_count}]"
             )
-        if self.share_count >= self.field.order:
+        if self.share_count >= 256:
             # Evaluation points 1..n must be distinct nonzero field elements.
-            raise InvalidScheme(
-                f"share count {self.share_count} too large for field order "
-                f"{self.field.order}"
-            )
+            raise InvalidScheme(f"share count {self.share_count} too large for GF(2^8)")
 
 
 @dataclass(frozen=True)
@@ -92,33 +88,30 @@ def split(
     replay under a fixed seed.
 
     Args:
-        secret: nonempty byte string; every byte must be a valid field
-            element (always true for the default binary field).
+        secret: nonempty byte string.
         scheme: sharing parameters.
         rng: source of coefficient randomness.
         object_id: opaque identifier stamped into each share so shares of
             different objects refuse to combine.
 
     Raises:
-        ValueError: empty secret, or a byte outside the field.
+        ValueError: empty secret.
     """
     if not secret:
         raise ValueError("cannot split an empty secret")
-    f = scheme.field
-    f.check(max(secret))
     degree = scheme.threshold - 1
     # One randrange call per coefficient keeps the draw order, and lets a
     # caller pin coefficients by overriding randrange alone.
-    coeffs = bytes([rng.randrange(f.order) for _ in range(len(secret) * degree)])
+    coeffs = bytes([rng.randrange(256) for _ in range(len(secret) * degree)])
     # terms[j] holds the x^j coefficient of every byte's polynomial.
     terms = [secret, *(coeffs[j::degree] for j in range(degree))]
     shares = []
     for x in range(1, scheme.share_count + 1):
         # Horner over every byte at once, highest coefficient first.
-        row = f.mul_row(x)
+        row = field.mul_row(x)
         acc = terms[-1]
         for term in reversed(terms[:-1]):
-            acc = f.add_bytes(acc.translate(row), term)
+            acc = field.add_bytes(acc.translate(row), term)
         shares.append(Share(x=x, payload=acc, scheme=scheme, object_id=object_id))
     return shares
 
@@ -154,21 +147,21 @@ def reconstruct(shares: Sequence[Share]) -> bytes:
             f"{len(shares)} shares given, {scheme.threshold} required"
         )
 
-    f = scheme.field
     use = shares[: scheme.threshold]
     xs = [s.x for s in use]
-    # Lagrange basis at x = 0: w_i = prod_{j != i} x_j / (x_j - x_i).
+    # Lagrange basis at x = 0: w_i = prod_{j != i} x_j / (x_j - x_i), where
+    # subtraction is XOR.
     weights = []
     for i, xi in enumerate(xs):
         num, den = 1, 1
         for j, xj in enumerate(xs):
             if j == i:
                 continue
-            num = f.mul(num, xj)
-            den = f.mul(den, f.sub(xj, xi))
-        weights.append(f.mul(num, f.inv(den)))
+            num = field.mul(num, xj)
+            den = field.mul(den, xj ^ xi)
+        weights.append(field.mul(num, field.inv(den)))
 
     acc = bytes(len(first.payload))
     for w, s in zip(weights, use):
-        acc = f.add_bytes(acc, s.payload.translate(f.mul_row(w)))
+        acc = field.add_bytes(acc, s.payload.translate(field.mul_row(w)))
     return acc

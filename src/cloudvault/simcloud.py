@@ -161,7 +161,19 @@ class SimProvider:
         return integrity.encode_response(value)
 
     def inject(self, fault: Fault) -> None:
-        """Activate a fault. Idempotent; injecting twice is one fault."""
+        """Activate a fault. Idempotent; injecting twice is one fault. A
+        CorruptBlob's offset must fall inside the blob as stored now."""
+        self._admit(fault)
+        if isinstance(fault, CorruptBlob):
+            size = len(self._blobs[fault.node, fault.blob_id])
+            if fault.offset >= size:
+                raise ValueError(f"offset {fault.offset} outside a {size}-byte blob")
+        self._faults.add(fault)
+
+    def _admit(self, fault: Fault) -> None:
+        """Checks that hold for as long as the fault stays active; a
+        snapshot's faults are restored through these alone, because a blob
+        may have been re-stored shorter since its fault was injected."""
         if fault.provider != self.provider_id:
             raise UnknownTarget(f"fault addressed to {fault.provider}, not me")
         if isinstance(fault, (NodeUnavailable, CorruptBlob)) and fault.node not in self.nodes:
@@ -171,7 +183,8 @@ class SimProvider:
                 raise UnknownBlob(f"no blob {fault.blob_id!r} to corrupt")
             if not 1 <= fault.mask <= 255:
                 raise ValueError("corruption mask must flip at least one bit")
-        self._faults.add(fault)
+            if fault.offset < 0:
+                raise ValueError(f"negative corruption offset {fault.offset}")
 
     def clear(self, fault: Fault) -> None:
         """Deactivate a fault; the original stored bytes were never touched."""
@@ -320,5 +333,8 @@ class SimCloud:
     def _restore(cls, providers: list[SimProvider], faults: list[dict]) -> "SimCloud":
         cloud = cls(providers)
         for entry in faults:
-            cloud.inject(_FAULT_KINDS[entry.pop("kind")](**entry))
+            fault = _FAULT_KINDS[entry.pop("kind")](**entry)
+            holder = cloud.provider(fault.provider)
+            holder._admit(fault)
+            holder._faults.add(fault)
         return cloud

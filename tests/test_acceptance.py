@@ -24,7 +24,6 @@ from cloudvault.entropy_split import (
     plan_split,
     recovery_probability,
 )
-from cloudvault.field import PrimeField
 from cloudvault.persistence import (
     CorruptStore,
     KeyStore,
@@ -51,10 +50,21 @@ from cloudvault.router import (
 from cloudvault.shamir import InsufficientShares, ShareScheme
 
 
+_opened: list[Router] = []
+
+
+@pytest.fixture(autouse=True)
+def _close_routers():
+    """Every router a test opens closes at its teardown, pass or fail."""
+    yield
+    while _opened:
+        _opened.pop().close()
+
+
 def _fresh_router(tmp_path, name, **policy_kw):
     settings = default_settings()
     cloud = simcloud.SimCloud.build(settings.topology)
-    return Router(
+    router = Router(
         cloud=cloud,
         manifest=ManifestStore(str(tmp_path / f"{name}-manifest.cmf")),
         keystore=KeyStore(str(tmp_path / f"{name}-keystore.cmf")),
@@ -62,6 +72,8 @@ def _fresh_router(tmp_path, name, **policy_kw):
         profiles=settings.profiles,
         rng=random.Random(name),
     )
+    _opened.append(router)
+    return router
 
 
 def test_01_any_threshold_subset_reconstructs_and_below_threshold_fails():
@@ -80,9 +92,9 @@ def test_01_any_threshold_subset_reconstructs_and_below_threshold_fails():
 
 
 def test_02_single_share_is_consistent_with_every_secret_exactly_once():
-    # k=2 over GF(13): enumerating all (secret, coefficient) pairs, any one
-    # observed share value must admit each candidate secret the same number
-    # of times, i.e. exactly once.
+    # k=2 of n=5 over GF(2^8): enumerating all 256 x 256 (secret, top
+    # coefficient) pairs, the value observed at any one point x = 1..5 must
+    # admit each candidate secret the same number of times, i.e. exactly once.
     class _OneCoefficient(random.Random):
         def __init__(self, value):
             super().__init__()
@@ -91,18 +103,16 @@ def test_02_single_share_is_consistent_with_every_secret_exactly_once():
         def randrange(self, *args, **kwargs):
             return self._value
 
-    field = PrimeField(13)
-    counts = {y: {s: 0 for s in range(13)} for y in range(13)}
-    for secret in range(13):
-        for coeff in range(13):
-            shares = shamir.split(
-                bytes([secret]), ShareScheme(2, 2, field), _OneCoefficient(coeff)
-            )
-            observed = shares[0]  # the share at x=1
-            assert observed.x == 1
-            counts[observed.payload[0]][secret] += 1
-    for y in range(13):
-        assert all(counts[y][s] == 1 for s in range(13))
+    secrets = bytes(range(256))  # byte s of the secret is the candidate s
+    seen = set()
+    for coeff in range(256):
+        shares = shamir.split(secrets, ShareScheme(2, 5), _OneCoefficient(coeff))
+        assert [share.x for share in shares] == [1, 2, 3, 4, 5]
+        for share in shares:
+            seen.update((share.x, y, s) for s, y in enumerate(share.payload))
+    # 5 * 256 * 256 draws, all distinct: each (x, observed value, secret)
+    # occurs exactly once.
+    assert len(seen) == 5 * 256 * 256
 
 
 def test_03_reads_survive_every_two_provider_outage(tmp_path):

@@ -77,6 +77,27 @@ def test_unknown_keys_rejected():
         settings_from_text("parity = 2\n")
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["rounds = 0", "audit_rows = -2", "chunks = -1", "chunks = 0", "threshold = 0",
+     "share_count = 0", "block = 0", "he_bits = 15"],
+)
+def test_out_of_range_values_rejected_at_load(text):
+    key = text.split()[0]
+    with pytest.raises(ConfigError, match=f"{key} must be at least"):
+        settings_from_text(text + "\n")
+
+
+def test_smallest_accepted_values_load():
+    s = settings_from_text(
+        "rounds = 1\naudit_rows = 1\nchunks = 1\nthreshold = 1\n"
+        "share_count = 1\nblock = 1\nhe_bits = 16\n"
+    )
+    p = s.policy
+    assert (p.token_rounds, p.audit_rows, p.chunk_count, p.threshold) == (1, 1, 1, 1)
+    assert (p.share_count, p.block_size, p.he_bits) == (1, 1, 16)
+
+
 def test_raw_metrics_normalized():
     s = settings_from_text(
         """

@@ -72,30 +72,30 @@ def test_golden_bytes(tmp_path, monkeypatch):
     settings = default_settings()
     manifest_path = tmp_path / "m.cmf"
     keystore_path = tmp_path / "k.cmf"
-    router = Router(
+    with Router(
         cloud=simcloud.SimCloud.build(settings.topology),
         manifest=ManifestStore(manifest_path),
         keystore=KeyStore(keystore_path),
         policy=DispersalPolicy(),
         profiles=settings.profiles,
         rng=random.Random(7),
-    )
-    for size in _SIZES:
-        oid = f"golden-{size}"
-        payload = random.Random(f"golden:{size}").randbytes(size)
-        router.put(
-            DataObject(oid, payload, SecretLevel.SECRET, OperationClass.NO_OPERATIONS)
-        )
-        assert router.audit(oid, rounds=2).intact
-        assert router.get(oid) == payload
+    ) as router:
+        for size in _SIZES:
+            oid = f"golden-{size}"
+            payload = random.Random(f"golden:{size}").randbytes(size)
+            router.put(
+                DataObject(oid, payload, SecretLevel.SECRET, OperationClass.NO_OPERATIONS)
+            )
+            assert router.audit(oid, rounds=2).intact
+            assert router.get(oid) == payload
 
-    providers = _provider_digests(router.cloud)
-    # The keystore holds only token state here: one token-table record per
-    # object, then one spent-rounds counter record per audit.
-    assert [r["key_id"].split(":")[0] for r in router.keystore.log.records()] == [
-        "itok",
-        "iround",
-    ] * len(_SIZES)
+        providers = _provider_digests(router.cloud)
+        # The keystore holds only token state here: one token-table record per
+        # object, then one spent-rounds counter record per audit.
+        assert [r["key_id"].split(":")[0] for r in router.keystore.log.records()] == [
+            "itok",
+            "iround",
+        ] * len(_SIZES)
 
     assert len(wire) == 2 * 5 * (1 + 1 + 1 + 5 + 5)
     assert providers == _PROVIDER_DIGESTS
@@ -134,20 +134,20 @@ def test_golden_bytes_of_every_other_pipeline(tmp_path):
     settings = default_settings()
     manifest_path = tmp_path / "m.cmf"
     keystore_path = tmp_path / "k.cmf"
-    router = Router(
+    with Router(
         cloud=simcloud.SimCloud.build(settings.topology),
         manifest=ManifestStore(manifest_path),
         keystore=KeyStore(keystore_path),
         policy=DispersalPolicy(he_bits=64),
         profiles=settings.profiles,
         rng=random.Random(11),
-    )
-    for oid, payload, level, ops, id_columns in _EVERY_PIPELINE:
-        router.put(
-            DataObject(oid, payload, SecretLevel(level), OperationClass(ops), id_columns)
-        )
-        assert router.get(oid) == payload
-        assert router.audit(oid).intact
+    ) as router:
+        for oid, payload, level, ops, id_columns in _EVERY_PIPELINE:
+            router.put(
+                DataObject(oid, payload, SecretLevel(level), OperationClass(ops), id_columns)
+            )
+            assert router.get(oid) == payload
+            assert router.audit(oid).intact
 
     assert _provider_digests(router.cloud) == _PIPELINE_PROVIDER_DIGESTS
     assert hashlib.sha256(manifest_path.read_bytes()).hexdigest() == _PIPELINE_MANIFEST_DIGEST

@@ -42,9 +42,9 @@ def _canonical(payload):
 
 
 def test_commit_and_lookup(tmp_path):
-    store = _new_store(tmp_path)
-    store.commit(_record("a", note="first"))
-    got = store.lookup("a")
+    with _new_store(tmp_path) as store:
+        store.commit(_record("a", note="first"))
+        got = store.lookup("a")
     assert got.object_id == "a"
     assert got.version == 1
     assert got.details == {"note": "first"}
@@ -62,21 +62,22 @@ def test_versions_increment_and_history_kept(tmp_path):
         (2, "two"),
     ]
     store.close()
-    reopened = ManifestStore(str(tmp_path / "m.cmf"), writable=False)
-    assert reopened.lookup("a").version == 2
-    assert reopened.lookup("a").details == {"rev": "two"}
+    with ManifestStore(str(tmp_path / "m.cmf"), writable=False) as reopened:
+        assert reopened.lookup("a").version == 2
+        assert reopened.lookup("a").details == {"rev": "two"}
 
 
 def test_lookup_unknown_raises(tmp_path):
-    with pytest.raises(NotFound):
-        _new_store(tmp_path).lookup("ghost")
+    with _new_store(tmp_path) as store, pytest.raises(NotFound):
+        store.lookup("ghost")
 
 
 def test_survives_reopen(tmp_path):
     path = str(tmp_path / "m.cmf")
-    ManifestStore(path).commit(_record("a"))
-    store = ManifestStore(path, writable=False)
-    assert store.lookup("a").object_id == "a"
+    with ManifestStore(path) as store:
+        store.commit(_record("a"))
+    with ManifestStore(path, writable=False) as store:
+        assert store.lookup("a").object_id == "a"
 
 
 def test_torn_tail_raises_without_recover(tmp_path):
@@ -115,9 +116,9 @@ def test_torn_tail_recovery_serves_prefix_and_truncates(tmp_path):
     # Writable recovery truncates the torn frame so appends go to a clean end.
     store.commit(_record("c"))
     store.log.close()
-    reopened = ManifestStore(str(path), writable=False)
-    assert reopened.lookup("c").object_id == "c"
-    assert not reopened.tail_torn
+    with ManifestStore(str(path), writable=False) as reopened:
+        assert reopened.lookup("c").object_id == "c"
+        assert not reopened.tail_torn
 
 
 def test_interior_corruption_always_fatal(tmp_path):
@@ -187,8 +188,8 @@ def test_readers_bypass_lock(tmp_path):
     path = str(tmp_path / "m.cmf")
     writer = ManifestStore(path)
     writer.commit(_record("a"))
-    reader = ManifestStore(path, writable=False)
-    assert reader.lookup("a").object_id == "a"
+    with ManifestStore(path, writable=False) as reader:
+        assert reader.lookup("a").object_id == "a"
     writer.log.close()
 
 

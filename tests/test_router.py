@@ -26,10 +26,21 @@ from cloudvault.router import (
 from cloudvault.simcloud import CorruptBlob, NodeUnavailable, SimCloud, SimProvider
 
 
+_opened: list[Router] = []
+
+
+@pytest.fixture(autouse=True)
+def _close_routers():
+    """Every router a test opens closes at its teardown, pass or fail."""
+    yield
+    while _opened:
+        _opened.pop().close()
+
+
 def _router(tmp_path, seed=1, **policy_kw):
     s = default_settings()
     cloud = SimCloud.build(s.topology, credential=s.credential)
-    return Router(
+    router = Router(
         cloud=cloud,
         manifest=ManifestStore(str(tmp_path / "m.cmf")),
         keystore=KeyStore(str(tmp_path / "k.cmf")),
@@ -37,13 +48,14 @@ def _router(tmp_path, seed=1, **policy_kw):
         profiles=s.profiles,
         rng=random.Random(seed),
     )
+    _opened.append(router)
+    return router
 
 
 def _reopen(router, tmp_path):
     """A fresh Router over the same fleet and the same store files."""
-    router.manifest.close()
-    router.keystore.close()
-    return Router(
+    router.close()
+    fresh = Router(
         cloud=router.cloud,
         manifest=ManifestStore(str(tmp_path / "m.cmf")),
         keystore=KeyStore(str(tmp_path / "k.cmf")),
@@ -51,6 +63,8 @@ def _reopen(router, tmp_path):
         profiles=router.profiles,
         rng=random.Random(0),
     )
+    _opened.append(fresh)
+    return fresh
 
 
 def _obj(oid, payload, level, ops, **kw):

@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from cloudvault.field import BinaryField, PrimeField
 from cloudvault.shamir import (
     DuplicatePoint,
     InsufficientShares,
@@ -16,6 +15,20 @@ from cloudvault.shamir import (
 )
 
 
+def _bitwise_mul(a, b):
+    """GF(2^8) product under 0x11b, one bit at a time, independent of
+    the library's tables."""
+    out = 0
+    while b:
+        if b & 1:
+            out ^= a
+        a <<= 1
+        if a & 0x100:
+            a ^= 0x11B
+        b >>= 1
+    return out
+
+
 class _FixedCoefficients:
     """Stands in for random.Random when the polynomial must be pinned."""
 
@@ -26,23 +39,25 @@ class _FixedCoefficients:
         return self._values.pop(0)
 
 
-def test_known_linear_polynomial_over_gf13():
-    # q(x) = 5 + 3x mod 13 evaluates to 8, 11, 1 at x = 1, 2, 3.
-    scheme = ShareScheme(threshold=2, share_count=3, field=PrimeField(13))
+def test_known_linear_polynomial_over_gf256():
+    # q(x) = 5 + 3x, with + as XOR and 3x = 3, 6, 5, evaluates to 6, 3, 0
+    # at x = 1, 2, 3.
+    assert [5 ^ _bitwise_mul(3, x) for x in (1, 2, 3)] == [6, 3, 0]
+    scheme = ShareScheme(threshold=2, share_count=3)
     shares = split(bytes([5]), scheme, _FixedCoefficients([3]))
-    assert [(s.x, s.payload[0]) for s in shares] == [(1, 8), (2, 11), (3, 1)]
+    assert [(s.x, s.payload[0]) for s in shares] == [(1, 6), (2, 3), (3, 0)]
     for pair in itertools.combinations(shares, 2):
         assert reconstruct(list(pair)) == bytes([5])
 
 
-def test_single_share_is_uniform_over_gf13():
+def test_single_share_is_uniform_over_gf256():
     """One share of a k=2 scheme fits every candidate secret equally often."""
-    scheme = ShareScheme(threshold=2, share_count=3, field=PrimeField(13))
-    fixed = Share(x=1, payload=bytes([8]), scheme=scheme)
-    consistent = {s: 0 for s in range(13)}
-    for secret in range(13):
-        for a1 in range(13):
-            if (secret + a1 * fixed.x) % 13 == fixed.payload[0]:
+    scheme = ShareScheme(threshold=2, share_count=3)
+    fixed = Share(x=2, payload=bytes([3]), scheme=scheme)
+    consistent = {s: 0 for s in range(256)}
+    for secret in range(256):
+        for a1 in range(256):
+            if secret ^ _bitwise_mul(a1, fixed.x) == fixed.payload[0]:
                 consistent[secret] += 1
     assert all(count == 1 for count in consistent.values())
 
@@ -72,8 +87,9 @@ def test_scheme_validation():
     with pytest.raises(InvalidScheme):
         ShareScheme(threshold=4, share_count=3)
     with pytest.raises(InvalidScheme):
-        # x points 1..n must stay inside the field.
-        ShareScheme(threshold=2, share_count=13, field=PrimeField(13))
+        # x points 1..n must be distinct nonzero bytes.
+        ShareScheme(threshold=2, share_count=256)
+    assert ShareScheme(threshold=2, share_count=255).share_count == 255
 
 
 def test_mixed_shares_refused():
@@ -101,8 +117,6 @@ def test_split_rejects_bad_input():
     rng = random.Random(15)
     with pytest.raises(ValueError):
         split(b"", ShareScheme(2, 3), rng)
-    with pytest.raises(ValueError):
-        split(bytes([200]), ShareScheme(2, 3, field=PrimeField(13)), rng)
 
 
 def test_reconstruct_uses_any_k_not_just_first_n():
@@ -112,21 +126,20 @@ def test_reconstruct_uses_any_k_not_just_first_n():
     assert reconstruct([shares[4], shares[1]]) == secret
 
 
-@pytest.mark.parametrize("f", [BinaryField(), PrimeField(251)])
-def test_split_matches_scalar_horner(f):
-    """Shares equal per-byte Horner evaluation with scalar field ops, drawing
-    the coefficients byte-major from the same generator."""
-    secret = bytes(b % f.order for b in random.Random(18).randbytes(200))
-    scheme = ShareScheme(threshold=3, share_count=5, field=f)
+def test_split_matches_scalar_horner():
+    """Shares equal per-byte Horner evaluation with a bitwise multiply,
+    drawing the coefficients byte-major from the same generator."""
+    secret = random.Random(18).randbytes(200)
+    scheme = ShareScheme(threshold=3, share_count=5)
     shares = split(secret, scheme, random.Random(19))
     replay = random.Random(19)
-    polys = [[b, replay.randrange(f.order), replay.randrange(f.order)] for b in secret]
+    polys = [[b, replay.randrange(256), replay.randrange(256)] for b in secret]
     for share in shares:
         want = []
         for coeffs in polys:
             acc = 0
             for c in reversed(coeffs):
-                acc = f.add(f.mul(acc, share.x), c)
+                acc = _bitwise_mul(acc, share.x) ^ c
             want.append(acc)
         assert share.payload == bytes(want)
     assert reconstruct(shares[2:]) == secret

@@ -87,6 +87,28 @@ def test_corrupt_blob_validation():
         cloud.inject(CorruptBlob("alpha", "n0", "nope", offset=0, mask=1))
 
 
+@pytest.mark.parametrize("offset", [-1, 3, 7])
+def test_corrupt_offset_must_fall_inside_the_blob(offset):
+    cloud = SimCloud.build(_TOPOLOGY)
+    cloud.provider("alpha").store_blob("n0", "b", b"xyz")
+    with pytest.raises(ValueError, match="offset"):
+        cloud.inject(CorruptBlob("alpha", "n0", "b", offset=offset, mask=1))
+    assert cloud.provider("alpha").fetch_blob("n0", "b") == b"xyz"
+
+
+def test_fault_on_a_blob_restored_shorter_stays_inert_across_a_reload(tmp_path):
+    cloud = SimCloud.build(_TOPOLOGY)
+    alpha = cloud.provider("alpha")
+    alpha.store_blob("n0", "b", b"xyz")
+    cloud.inject(CorruptBlob("alpha", "n0", "b", offset=2, mask=1))
+    alpha.store_blob("n0", "b", b"x")
+    cloud.save(tmp_path)
+    back = SimCloud.load(tmp_path).provider("alpha")
+    assert back.fetch_blob("n0", "b") == b"x"
+    back.store_blob("n0", "b", b"xyz")
+    assert back.fetch_blob("n0", "b") == b"xy{"
+
+
 def test_challenge_endpoint_matches_local_compute():
     rng = random.Random(101)
     key = rng.randbytes(32)
