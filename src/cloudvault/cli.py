@@ -21,6 +21,7 @@ Output is one ``key=value`` pair per line on stdout; failures print
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -50,14 +51,15 @@ _KNOWN_ERRORS = (
 )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="cloudvault",
         description="policy-routed dispatch of data across simulated cloud providers",
     )
     parser.add_argument(
         "--config",
-        default=os.environ.get("CLOUDVAULT_CONFIG"),
         help="config file (default: $CLOUDVAULT_CONFIG, else built-in fleet)",
     )
     parser.add_argument("--manifest", help="override manifest log path")
@@ -401,8 +403,9 @@ def _cmd_simulate(settings: Settings, args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    if args.config is None:
+        args.config = os.environ.get("CLOUDVAULT_CONFIG")
     try:
         settings = _apply_overrides(load_settings(args.config), args)
         handler = {

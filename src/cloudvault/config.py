@@ -199,6 +199,9 @@ def settings_from_text(text: str) -> Settings:
     policy.credential = kv.get("credential", "")
     policy.threshold = geti("threshold", None, 1)
     policy.share_count = geti("share_count", None, 1)
+    k, n = policy.threshold, policy.share_count
+    if k is not None and n is not None and k > n:
+        raise ConfigError(f"threshold {k} exceeds share_count {n}")
     policy.chunk_count = geti("chunks", None, 1)
     policy.block_size = geti("block", policy.block_size, 1)
     policy.token_rounds = geti("rounds", policy.token_rounds, 1)

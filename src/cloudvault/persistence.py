@@ -69,6 +69,15 @@ class StoreBusy(PersistenceError):
     """Another writer holds the store's lock."""
 
 
+def fsync_dir(path: str | Path) -> None:
+    """Make a create, rename or unlink in directory ``path`` durable."""
+    fd = os.open(path, os.O_RDONLY | os.O_DIRECTORY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 def _canonical(payload: dict) -> bytes:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
@@ -114,6 +123,7 @@ class RecordLog:
                 self._fh.write(STORE_MAGIC)
                 self._fh.flush()
                 os.fsync(self._fh.fileno())
+                fsync_dir(self.path.parent)
             self._load(recover)
         except BaseException:
             # A failed open must not keep the file, or the writer's lock.

@@ -14,6 +14,15 @@ confidentiality harnesses feed their attackers.
 
 Authentication against real providers is out of scope; a static credential
 string stands in for it here.
+
+The fleet persists as ``simcloud.pack``, a sequence of frames. Each frame is
+the magic ``CVS1``, a 4-byte big-endian header length, a JSON header
+``{providers: {pid: {nodes, credential, blobs: [[node, id, size]]}},
+faults}`` and then the blob bytes in header order. A full save writes one
+frame holding everything; a later save appends one frame holding only the
+blobs stored since, plus the whole fault list. Load merges the frames in
+order: a later blob under the same (node, id) replaces the earlier one, and
+the last frame's faults are the fault set.
 """
 
 from __future__ import annotations
@@ -27,6 +36,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from . import integrity
+from .persistence import fsync_dir
 
 
 class SimCloudError(Exception):
@@ -85,6 +95,23 @@ _LEGACY = "simcloud.json"  # the snapshot older versions wrote
 _MAGIC = b"CVS1"
 
 
+@dataclass
+class _Packed:
+    """What the pack at ``path`` holds, as the cloud last read or wrote it:
+    its clean length, the JSON bytes of the first frame's header and of all
+    later ones together, live and superseded body bytes, each provider's
+    blob objects, and the fault set."""
+
+    path: Path
+    length: int
+    first_head: int
+    later_heads: int
+    live: int
+    dead: int
+    blobs: dict[str, dict[tuple[str, str], bytes]]
+    faults: frozenset
+
+
 @dataclass(frozen=True)
 class DumpEntry:
     node: str
@@ -128,6 +155,7 @@ class SimProvider:
         data = self._blobs.get((node, blob_id))
         if data is None:
             raise UnknownBlob(f"no blob {blob_id!r} on {self.provider_id}/{node}")
+        data = bytes(data)  # a loaded blob is a view into the pack's bytes
         for fault in self._faults:
             if (
                 isinstance(fault, CorruptBlob)
@@ -221,6 +249,7 @@ class SimCloud:
 
     def __init__(self, providers: Iterable[SimProvider]) -> None:
         self.providers: dict[str, SimProvider] = {}
+        self._packed: _Packed | None = None
         for p in providers:
             if p.provider_id in self.providers:
                 raise ValueError(f"duplicate provider id {p.provider_id!r}")
@@ -254,69 +283,166 @@ class SimCloud:
         return self.provider(provider_id).insider_dump()
 
     def save(self, directory: str | Path) -> None:
-        """Snapshot the fleet to ``simcloud.pack``: a magic, a 4-byte big-endian
-        header length, a JSON header, then the blob bytes in header order. It
-        is fsynced under a temp name and renamed over the old pack, so a crash
-        leaves the old snapshot or the new one; a legacy JSON one is removed."""
-        root = Path(directory)
-        root.mkdir(parents=True, exist_ok=True)
-        header: dict = {"providers": {}, "faults": []}
-        blobs = []
+        """Snapshot the fleet to ``simcloud.pack`` in ``directory``.
+
+        When the pack there still has the clean length this cloud read or
+        last wrote, save appends and fsyncs one frame with the blobs stored
+        or replaced since then and the full fault list, or writes nothing if
+        neither changed. Otherwise, and when a compaction is due, it writes
+        the whole fleet as one frame under a temp name, fsyncs it, renames
+        it over the old pack, removes a legacy JSON snapshot and fsyncs the
+        directory, so a crash leaves the old snapshot or the new one.
+
+        Compaction is due when the appended frames' headers would hold more
+        JSON than the first frame's, or superseded blob bytes would outweigh
+        live ones. A crash mid-append leaves a torn last frame, which load
+        skips and the next save rewrites away."""
+        pack = Path(directory).absolute() / _PACK
+        if not self._append(pack):
+            self._rewrite(pack)
+
+    def _faults(self) -> frozenset:
+        return frozenset(f for p in self.providers.values() for f in p._faults)
+
+    def _frame(self, blobs: dict[str, list], faults: frozenset) -> tuple[bytes, list]:
+        """The header and bodies of a frame holding ``blobs``, a sorted list
+        of ((node, id), data) per provider, and ``faults``."""
+        header = {
+            "providers": {
+                pid: {
+                    "nodes": self.providers[pid].nodes,
+                    "credential": self.providers[pid].credential,
+                    "blobs": [[node, blob_id, len(data)] for (node, blob_id), data in items],
+                }
+                for pid, items in blobs.items()
+            },
+            "faults": [
+                {"kind": type(f).__name__, **f.__dict__}
+                for f in sorted(faults, key=lambda f: (f.provider, repr(f)))
+            ],
+        }
         # Id order, as sort_keys orders the header, so bytes match entries.
-        for pid, p in sorted(self.providers.items()):
-            items = sorted(p._blobs.items())
-            header["providers"][pid] = {
-                "nodes": p.nodes,
-                "credential": p.credential,
-                "blobs": [[node, blob_id, len(data)] for (node, blob_id), data in items],
-            }
-            blobs += [data for _, data in items]
-            for fault in sorted(p._faults, key=repr):
-                header["faults"].append({"kind": type(fault).__name__, **fault.__dict__})
-        head = json.dumps(header, sort_keys=True).encode("utf-8")
-        tmp = root / (_PACK + ".tmp")
+        bodies = [data for pid in sorted(blobs) for _, data in blobs[pid]]
+        return json.dumps(header, sort_keys=True).encode("utf-8"), bodies
+
+    def _append(self, pack: Path) -> bool:
+        """Append what changed since the pack was read or written; False
+        when the pack has to be rewritten instead. A fleet's providers and
+        their nodes are fixed when it is built, and no call removes a blob,
+        so the blobs stored or replaced and the faults are the whole change."""
+        old = self._packed
+        if old is None or old.path != pack:
+            return False
+        try:
+            if os.stat(pack).st_size != old.length:
+                return False
+        except FileNotFoundError:
+            return False
+        changed: dict[str, list] = {}
+        replaced = 0
+        for pid, p in self.providers.items():
+            held = old.blobs[pid]
+            new = sorted(item for item in p._blobs.items() if held.get(item[0]) is not item[1])
+            if new:
+                changed[pid] = new
+                replaced += sum(len(held[key]) for key, _ in new if key in held)
+        faults = self._faults()
+        if not changed and faults == old.faults:
+            return True
+        head, bodies = self._frame(changed, faults)
+        added = sum(map(len, bodies))
+        if (
+            old.later_heads + len(head) > old.first_head
+            or old.dead + replaced > old.live - replaced + added
+        ):
+            return False
+        with open(pack, "ab") as f:
+            _write_frame(f, head, bodies)
+        old.length += 8 + len(head) + added
+        old.later_heads += len(head)
+        old.live += added - replaced
+        old.dead += replaced
+        for pid, items in changed.items():
+            old.blobs[pid].update(items)
+        old.faults = faults
+        return True
+
+    def _rewrite(self, pack: Path) -> None:
+        pack.parent.mkdir(parents=True, exist_ok=True)
+        faults = self._faults()
+        head, bodies = self._frame(
+            {pid: sorted(p._blobs.items()) for pid, p in self.providers.items()}, faults
+        )
+        tmp = pack.with_name(_PACK + ".tmp")
         with open(tmp, "wb") as f:
-            f.write(_MAGIC + struct.pack(">I", len(head)) + head)
-            f.writelines(blobs)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, root / _PACK)
-        (root / _LEGACY).unlink(missing_ok=True)
+            _write_frame(f, head, bodies)
+        os.replace(tmp, pack)
+        (pack.parent / _LEGACY).unlink(missing_ok=True)
+        fsync_dir(pack.parent)
+        live = sum(map(len, bodies))
+        self._packed = self._track(pack, 8 + len(head) + live, [len(head)], live, 0)
+
+    def _track(self, pack: Path, length: int, heads: list[int], live: int, dead: int) -> _Packed:
+        return _Packed(
+            path=pack,
+            length=length,
+            first_head=heads[0],
+            later_heads=sum(heads[1:]),
+            live=live,
+            dead=dead,
+            blobs={pid: dict(p._blobs) for pid, p in self.providers.items()},
+            faults=self._faults(),
+        )
 
     @classmethod
     def load(cls, directory: str | Path) -> "SimCloud":
         """The fleet ``save`` wrote, providers in id order, read from the pack
-        or else from a legacy ``simcloud.json``. Raises FileNotFoundError when
-        there is neither and SnapshotCorrupt when the one found is damaged."""
-        root = Path(directory)
+        or else from a legacy ``simcloud.json``. Blobs stay views into the
+        one read of the pack. Raises FileNotFoundError when there is neither
+        and SnapshotCorrupt when the one found is damaged; a torn last frame
+        that is not the first is a crash mid-append, and is skipped."""
+        pack = Path(directory).absolute() / _PACK
         try:
-            raw = memoryview((root / _PACK).read_bytes())
+            raw = pack.read_bytes()
             legacy = None
         except FileNotFoundError:
-            legacy = (root / _LEGACY).read_bytes()
+            legacy = (pack.parent / _LEGACY).read_bytes()
         try:
-            return cls._load_pack(raw) if legacy is None else cls._load_legacy(legacy)
+            return cls._load_pack(raw, pack) if legacy is None else cls._load_legacy(legacy)
         except (ValueError, KeyError, TypeError, AttributeError) as e:
             raise SnapshotCorrupt(f"unreadable snapshot: {e!r}") from None
 
     @classmethod
-    def _load_pack(cls, raw: memoryview) -> "SimCloud":
-        if len(raw) < 8 or raw[:4] != _MAGIC:
+    def _load_pack(cls, raw: bytes, pack: Path) -> "SimCloud":
+        view = memoryview(raw)
+        fleet: dict[str, SimProvider] = {}
+        heads: list[int] = []
+        at = total = dead = 0
+        faults: list[dict] = []
+        while at < len(view):
+            frame = _read_frame(view, at)
+            if frame is None:
+                if not heads:
+                    raise SnapshotCorrupt("the first frame runs past the end of the snapshot")
+                break
+            header, body, end = frame
+            heads.append(body - at - 8)
+            total += end - body
+            for pid, pdata in header["providers"].items():
+                if pid not in fleet:
+                    fleet[pid] = SimProvider(pid, pdata["nodes"], credential=pdata["credential"])
+                blobs = fleet[pid]._blobs
+                for node, blob_id, size in pdata["blobs"]:
+                    dead += len(blobs.get((node, blob_id), b""))
+                    blobs[node, blob_id] = view[body : body + size]
+                    body += size
+            faults = header["faults"]
+            at = end
+        if not heads:
             raise SnapshotCorrupt("not a provider snapshot")
-        end = 8 + struct.unpack_from(">I", raw, 4)[0]
-        if end > len(raw):
-            raise SnapshotCorrupt("header runs past the end of the snapshot")
-        header = json.loads(bytes(raw[8:end]))
-        providers = []
-        for pid, pdata in header["providers"].items():
-            p = SimProvider(pid, pdata["nodes"], credential=pdata["credential"])
-            for node, blob_id, size in pdata["blobs"]:
-                p._blobs[node, blob_id] = bytes(raw[end : end + size])
-                end += size
-            providers.append(p)
-        if end != len(raw):
-            raise SnapshotCorrupt("blob sizes do not add up to the snapshot length")
-        return cls._restore(providers, header["faults"])
+        cloud = cls._restore([fleet[pid] for pid in sorted(fleet)], faults)
+        cloud._packed = cloud._track(pack, at, heads, total - dead, dead)
+        return cloud
 
     @classmethod
     def _load_legacy(cls, text: bytes) -> "SimCloud":
@@ -338,3 +464,30 @@ class SimCloud:
             holder._admit(fault)
             holder._faults.add(fault)
         return cloud
+
+
+def _write_frame(f, head: bytes, bodies: list) -> None:
+    f.write(_MAGIC + struct.pack(">I", len(head)) + head)
+    f.writelines(bodies)
+    f.flush()
+    os.fsync(f.fileno())
+
+
+def _read_frame(view: memoryview, at: int) -> tuple[dict, int, int] | None:
+    """The header, body start and end of the frame at ``at``, or None when
+    the bytes from ``at`` are a proper prefix of a frame."""
+    if view[at : at + 4] != _MAGIC[: len(view) - at]:
+        raise SnapshotCorrupt(f"no frame at offset {at} of the snapshot")
+    if len(view) - at < 8:
+        return None
+    body = at + 8 + struct.unpack_from(">I", view, at + 4)[0]
+    if body > len(view):
+        return None
+    header = json.loads(bytes(view[at + 8 : body]))
+    sizes = [size for p in header["providers"].values() for _, _, size in p["blobs"]]
+    if min(sizes, default=0) < 0:
+        raise SnapshotCorrupt(f"a negative blob size in the frame at offset {at}")
+    end = body + sum(sizes)
+    if end > len(view):
+        return None
+    return header, body, end

@@ -379,6 +379,13 @@ def test_config_comes_from_environment_when_flag_absent(tmp_path, capsys, monkey
     assert kv["rank.1"] == "solo"
     assert "rank.2" not in kv
 
+    # The parser is built once per process; the variable is read per call.
+    other = tmp_path / "other.txt"
+    other.write_text("providers = duo\nprovider.duo.nodes = n0:0\n")
+    monkeypatch.setenv("CLOUDVAULT_CONFIG", str(other))
+    assert main(["rank"]) == 0
+    assert _kv(capsys.readouterr().out)["rank.1"] == "duo"
+
 
 @pytest.mark.parametrize(
     "scenario",

@@ -98,6 +98,13 @@ def test_smallest_accepted_values_load():
     assert (p.share_count, p.block_size, p.he_bits) == (1, 1, 16)
 
 
+def test_threshold_above_share_count_rejected_at_load():
+    with pytest.raises(ConfigError, match="threshold 4 exceeds share_count 3"):
+        settings_from_text("threshold = 4\nshare_count = 3\n")
+    p = settings_from_text("threshold = 3\nshare_count = 3\n").policy
+    assert (p.threshold, p.share_count) == (3, 3)
+
+
 def test_raw_metrics_normalized():
     s = settings_from_text(
         """

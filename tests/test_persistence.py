@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 import struct
 import zlib
 
@@ -330,3 +332,21 @@ def test_writable_reopen_continues_the_version_count(tmp_path):
     with ManifestStore(path, writable=False) as reopened:
         assert reopened.lookup("a").version == 4
         assert reopened.lookup("b").version == 1
+
+
+def test_a_new_log_fsyncs_its_directory(tmp_path, monkeypatch):
+    seen = []
+    fsync = os.fsync
+
+    def recording(fd):
+        if stat.S_ISDIR(os.fstat(fd).st_mode):
+            seen.append(sorted(f.name for f in tmp_path.iterdir()))
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", recording)
+    with RecordLog(tmp_path / "m.cmf"):
+        pass
+    assert seen == [["m.cmf"]]
+    with RecordLog(tmp_path / "m.cmf") as log:
+        log.append({"id": "a"})
+    assert seen == [["m.cmf"]]

@@ -4,12 +4,14 @@ import json
 import os
 import random
 import shutil
+import stat
 import struct
 from pathlib import Path
 
 import pytest
 
 from cloudvault import integrity
+from cloudvault.cli import main
 from cloudvault.simcloud import (
     AuthFailed,
     CorruptBlob,
@@ -288,3 +290,203 @@ def test_interrupted_save_leaves_the_previous_snapshot(tmp_path, monkeypatch):
     after.save(tmp_path)
     assert sorted(f.name for f in tmp_path.iterdir()) == ["simcloud.pack", "unrelated.txt"]
     assert _fleet_state(SimCloud.load(tmp_path)) == sorted(_fleet_state(after))
+
+
+def _frames(raw):
+    """(start, header) of every whole frame in a pack."""
+    out, at = [], 0
+    while at < len(raw):
+        body = at + 8 + struct.unpack(">I", raw[at + 4 : at + 8])[0]
+        header = json.loads(raw[at + 8 : body])
+        out.append((at, header))
+        at = body + sum(size for p in header["providers"].values() for *_, size in p["blobs"])
+    return out
+
+
+def test_a_one_frame_pack_is_written_as_the_earlier_release_wrote_it(tmp_path):
+    fixture = Path(__file__).parent / "data" / "compat-audited" / "state" / "simcloud.pack"
+    SimCloud.load(fixture.parent).save(tmp_path)
+    assert (tmp_path / "simcloud.pack").read_bytes() == fixture.read_bytes()
+
+
+def test_a_save_appends_only_what_changed(tmp_path):
+    cloud = _sample_fleet()
+    cloud.save(tmp_path)
+    pack = tmp_path / "simcloud.pack"
+    before = pack.read_bytes()
+    cloud.save(tmp_path)  # nothing changed: nothing written
+    assert pack.read_bytes() == before
+
+    gamma = cloud.provider("gamma")
+    gamma.store_blob("n0", "a", b"replaced", credential="c")
+    gamma.store_blob("n0", "z", b"new", credential="c")
+    cloud.clear(InsiderDump(provider="gamma"))
+    cloud.save(tmp_path)
+    after = pack.read_bytes()
+    assert after[: len(before)] == before
+    (_, _), (at, header) = _frames(after)
+    assert at == len(before)
+    assert header["providers"]["gamma"]["blobs"] == [["n0", "a", 8], ["n0", "z", 3]]
+    assert list(header["providers"]) == ["gamma"]
+    assert len(header["faults"]) == 2
+    assert after.endswith(b"replacednew")
+    back = SimCloud.load(tmp_path)
+    assert _fleet_state(back) == sorted(_fleet_state(cloud))
+    assert not back.provider("gamma").compromised
+
+    cloud.clear(NodeUnavailable(provider="beta", node="n0"))
+    cloud.save(tmp_path)  # a fault alone is a frame too
+    assert len(_frames(pack.read_bytes())) == 3
+    assert _fleet_state(SimCloud.load(tmp_path)) == sorted(_fleet_state(cloud))
+
+
+def test_every_cut_inside_an_appended_frame_serves_the_fleet_before_it(tmp_path):
+    _sample_fleet().save(tmp_path)
+    pack = tmp_path / "simcloud.pack"
+    before = pack.read_bytes()
+    want = _fleet_state(SimCloud.load(tmp_path))
+    cloud = SimCloud.load(tmp_path)
+    cloud.provider("alpha").store_blob("n1", "new", b"x" * 50, credential="c")
+    cloud.provider("alpha").store_blob("n0", "b", b"other", credential="c")
+    cloud.clear(InsiderDump(provider="gamma"))
+    cloud.save(tmp_path)
+    after = pack.read_bytes()
+    assert len(_frames(after)) == 2
+
+    for cut in range(len(before) + 1, len(after)):
+        pack.write_bytes(after[:cut])
+        torn = SimCloud.load(tmp_path)
+        assert _fleet_state(torn) == want
+        torn.save(tmp_path)
+        assert pack.read_bytes() == before
+
+    # Bytes after the last frame that are not a frame's start are damage.
+    pack.write_bytes(after + b"CVX")
+    with pytest.raises(SnapshotCorrupt):
+        SimCloud.load(tmp_path)
+
+
+def test_appends_then_a_compaction_equal_a_freshly_written_pack(tmp_path):
+    cloud = SimCloud.build(_TOPOLOGY)
+    alpha = cloud.provider("alpha")
+    for i in range(20):
+        alpha.store_blob("n0", f"base{i}", bytes([i]) * 10)
+    cloud.save(tmp_path)
+    pack = tmp_path / "simcloud.pack"
+    counts = []
+    for i in range(3):
+        alpha.store_blob("n1", f"new{i}", b"n" * i)
+        cloud.save(tmp_path)
+        counts.append(len(_frames(pack.read_bytes())))
+    alpha.store_blob("n0", "base0", b"overwritten")
+    cloud.save(tmp_path)
+    counts.append(len(_frames(pack.read_bytes())))
+    assert counts == [2, 3, 4, 5]
+    assert _fleet_state(SimCloud.load(tmp_path)) == _fleet_state(cloud)
+
+    # Appended headers soon hold more JSON than the first one: rewrite.
+    saves = 0
+    while len(_frames(pack.read_bytes())) > 1:
+        cloud.provider("beta").store_blob("n0", f"more{saves}", b"m")
+        cloud.save(tmp_path)
+        saves += 1
+        assert saves < 50
+    cloud.save(tmp_path / "fresh")
+    assert pack.read_bytes() == (tmp_path / "fresh" / "simcloud.pack").read_bytes()
+    assert _fleet_state(SimCloud.load(tmp_path)) == _fleet_state(cloud)
+
+
+def test_superseded_bytes_outweighing_live_ones_rewrite_the_pack(tmp_path):
+    cloud = SimCloud.build(_TOPOLOGY)
+    beta = cloud.provider("beta")
+    beta.store_blob("n0", "big", bytes(1000))
+    for i in range(20):
+        beta.store_blob("n0", f"s{i}", b"s")
+    cloud.save(tmp_path)
+    pack = tmp_path / "simcloud.pack"
+    beta.store_blob("n0", "big", b"\x01" * 1000)
+    cloud.save(tmp_path)  # 1000 dead against 1020 live
+    assert len(_frames(pack.read_bytes())) == 2
+    beta.store_blob("n0", "big", b"\x02" * 1000)
+    cloud.save(tmp_path)  # 2000 dead against 1020 live
+    raw = pack.read_bytes()
+    assert len(_frames(raw)) == 1
+    assert raw.endswith(b"\x02" * 1000 + b"s" * 20)
+
+
+def test_a_pack_this_cloud_did_not_write_is_rewritten(tmp_path):
+    cloud = _sample_fleet()
+    cloud.save(tmp_path)
+    other = SimCloud.load(tmp_path)
+    other.provider("alpha").store_blob("n1", "theirs", b"t", credential="c")
+    other.save(tmp_path)
+    cloud.provider("alpha").store_blob("n1", "mine", b"m", credential="c")
+    cloud.save(tmp_path)  # the pack is longer than the one it wrote
+    raw = (tmp_path / "simcloud.pack").read_bytes()
+    assert len(_frames(raw)) == 1
+    assert _fleet_state(SimCloud.load(tmp_path)) == sorted(_fleet_state(cloud))
+
+
+def test_a_rewrite_fsyncs_the_directory_after_the_rename(tmp_path, monkeypatch):
+    (tmp_path / "simcloud.json").write_text("{}")
+    seen = []
+    fsync = os.fsync
+
+    def recording(fd):
+        if stat.S_ISDIR(os.fstat(fd).st_mode):
+            seen.append(sorted(f.name for f in tmp_path.iterdir()))
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", recording)
+    cloud = _sample_fleet()
+    cloud.save(tmp_path)
+    assert seen == [["simcloud.pack"]]
+    cloud.provider("alpha").store_blob("n1", "new", b"x", credential="c")
+    cloud.save(tmp_path)  # an append creates no name
+    assert seen == [["simcloud.pack"]]
+
+
+def _cli_put(tmp_path, name, level, size):
+    src = tmp_path / name
+    src.write_bytes(random.Random(name).randbytes(size))
+    paths = [
+        "--manifest", str(tmp_path / "manifest.cmf"),
+        "--keystore", str(tmp_path / "keystore.cmf"),
+        "--state-dir", str(tmp_path / "state"),
+    ]
+    assert main([*paths, "put", str(src), "--level", level, "--object-id", name]) == 0
+
+
+def _blob_sizes(tmp_path):
+    cloud = SimCloud.load(tmp_path / "state")
+    return {
+        (pid, key): len(data) for pid, p in cloud.providers.items() for key, data in p._blobs.items()
+    }
+
+
+def test_a_cli_put_appends_its_own_blobs_and_one_header(tmp_path, capsys):
+    for i in range(3):
+        _cli_put(tmp_path, f"first{i}", "secret", 3000)
+        _cli_put(tmp_path, f"plain{i}", "unclassified", 500)
+    # One frame holding the fleet, so the next append is not a compaction.
+    SimCloud.load(tmp_path / "state").save(tmp_path / "fresh")
+    pack = tmp_path / "state" / "simcloud.pack"
+    os.replace(tmp_path / "fresh" / "simcloud.pack", pack)
+    before, old = pack.read_bytes(), _blob_sizes(tmp_path)
+
+    _cli_put(tmp_path, "second", "secret", 3000)
+    after, new = pack.read_bytes(), _blob_sizes(tmp_path)
+    added = {k: v for k, v in new.items() if k not in old}
+    assert added and {k: new[k] for k in old} == old
+    assert after[: len(before)] == before
+    head = struct.unpack(">I", after[len(before) + 4 : len(before) + 8])[0]
+    assert len(after) - len(before) == 8 + head + sum(added.values())
+
+
+def test_a_local_put_leaves_the_pack_untouched(tmp_path, capsys):
+    _cli_put(tmp_path, "first", "secret", 3000)
+    pack = tmp_path / "state" / "simcloud.pack"
+    before, st = pack.read_bytes(), pack.stat()
+    _cli_put(tmp_path, "local", "top-secret", 3000)
+    assert pack.read_bytes() == before
+    assert (pack.stat().st_ino, pack.stat().st_mtime_ns) == (st.st_ino, st.st_mtime_ns)
