@@ -21,6 +21,7 @@ Output is one ``key=value`` pair per line on stdout; failures print
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -139,14 +140,13 @@ def _open_cloud(settings: Settings) -> simcloud.SimCloud:
 
 def _open_router(settings: Settings, rng: random.Random) -> Router:
     """A Router over the configured state, to be used in ``with`` so that
-    both stores close."""
-    cloud = _open_cloud(settings)
-    manifest = ManifestStore(settings.manifest)
-    try:
-        keystore = KeyStore(settings.keystore)
-    except BaseException:
-        manifest.close()
-        raise
+    both stores close. The fleet loads only once both stores hold their
+    writer's lock, so a put saves the fleet the last command left."""
+    with contextlib.ExitStack() as opened:
+        manifest = opened.enter_context(ManifestStore(settings.manifest))
+        keystore = opened.enter_context(KeyStore(settings.keystore))
+        cloud = _open_cloud(settings)
+        opened.pop_all()
     return Router(
         cloud=cloud,
         manifest=manifest,

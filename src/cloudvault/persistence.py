@@ -13,12 +13,15 @@ before returning, and a crash mid-append costs at most the record being
 appended, never an earlier one.
 
 Corruption is never silent. Open checks every frame's checksum: a bad one
-inside the file fails the open loudly; a truncated tail is reported as
-CorruptStore unless the caller opts into recovery, in which case the
-complete prefix is served and the torn bytes are dropped from view (and
-from the file, if writable). Open decodes no record, though: a record is
-parsed when it is first read, so a frame whose checksum holds but whose
-body is not JSON raises CorruptStore at that read, not at open.
+inside the file fails the open loudly, as does a file that does not start
+with the magic. A torn tail (a last frame or the magic cut short, or
+zeros) is an append a crash interrupted before its fsync, so it was never
+committed: open serves the complete prefix and cuts the torn bytes off the
+file, so later appends extend a clean file. A frame that runs past the end
+with a whole record after it is damage, not a tear, and fails the open
+like a bad checksum. Open decodes no record, though: a record is parsed
+when it is first read, so a frame whose checksum holds but whose body is
+not JSON raises CorruptStore at that read, not at open.
 
 Records are immutable once committed: an update appends a new record under
 the same id, and the last record per id wins. The manifest and the keystore
@@ -29,8 +32,10 @@ id to its newest frame, reading the id straight from the canonical bytes,
 and a lookup decodes only the record it returns. A command therefore
 parses the one or two records it reads, not the whole log.
 
-Writers take an exclusive advisory lock on the file for their lifetime;
-a second writer fails fast instead of interleaving appends.
+Every open takes an exclusive advisory lock on the file for the store's
+lifetime; a second open fails fast with StoreBusy instead of interleaving
+appends. Every write here and in the provider pack reaches the disk through
+``fsync_file`` and, when it creates or renames a name, ``fsync_dir``.
 """
 
 from __future__ import annotations
@@ -57,16 +62,19 @@ class NotFound(PersistenceError):
 
 
 class CorruptStore(PersistenceError):
-    """Checksum mismatch or torn tail detected on load."""
-
-    def __init__(self, message: str, offset: int = -1, records_recovered: int = 0):
-        super().__init__(message)
-        self.offset = offset
-        self.records_recovered = records_recovered
+    """A bad checksum, a bad magic or an unreadable record."""
 
 
 class StoreBusy(PersistenceError):
     """Another writer holds the store's lock."""
+
+
+def fsync_file(f, *chunks: bytes) -> None:
+    """Write ``chunks`` to the open binary file ``f`` and return only once
+    they, and any truncation before them, are on disk."""
+    f.writelines(chunks)
+    f.flush()
+    os.fsync(f.fileno())
 
 
 def fsync_dir(path: str | Path) -> None:
@@ -82,101 +90,93 @@ def _canonical(payload: dict) -> bytes:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
+def _holds_a_record(data: bytes, start: int) -> bool:
+    """Whether a whole, checksummed frame of a JSON object starts in ``data``
+    at or after ``start``. Bytes a crash left mid-append hold none."""
+    body = data.find(b"{", start)
+    while body >= 0:
+        (length,) = _U32.unpack_from(data, body - 4)
+        end = body + length
+        if end + 4 <= len(data) and zlib.crc32(data[body:end]) == _U32.unpack_from(data, end)[0]:
+            return True
+        body = data.find(b"{", body + 1)
+    return False
+
+
 class RecordLog:
     """The shared container: an append-only log of JSON records.
 
-    Open reads the file once and checks every frame's checksum, keeping the
-    bytes and each body's (offset, length); it decodes nothing. ``records()``
+    Open locks the file, reads it once and checks every frame's checksum,
+    keeping the bytes and each body's (offset, length); it decodes nothing.
+    A missing file is created holding just the magic. A torn tail is cut
+    off the file before open returns, and ``tail_torn`` says so. ``records()``
     decodes on each call, ``decode`` decodes one frame, and ``ids`` reads one
     string field of every frame from the bytes. Records appended since open
     are kept as the payloads the caller passed.
-
-    ``recover=True`` tolerates a torn tail by serving the complete prefix
-    and, when writable, truncating the torn bytes so later appends extend a
-    clean file. Interior corruption (a record whose checksum fails but whose
-    frame is complete) is never recovered from automatically.
     """
 
-    def __init__(self, path: str | Path, writable: bool = True, recover: bool = False):
+    def __init__(self, path: str | Path):
         self.path = Path(path)
-        self.writable = writable
         self.tail_torn = False
         self._data = b""
         self._frames: list[tuple[int, int]] = []
         self._appended: list[dict] = []
-        self._fh = None
-
         fresh = not self.path.exists()
-        mode = ("a+b" if writable else "rb")
-        if fresh and not writable:
-            raise NotFound(f"no store at {self.path}")
-        self._fh = open(self.path, mode)
-        if writable:
-            try:
-                fcntl.flock(self._fh.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
-            except OSError:
-                self._fh.close()
-                self._fh = None
-                raise StoreBusy(f"{self.path} is locked by another writer")
+        self._fh = open(self.path, "a+b")
         try:
-            if fresh:
-                self._fh.write(STORE_MAGIC)
-                self._fh.flush()
-                os.fsync(self._fh.fileno())
-                fsync_dir(self.path.parent)
-            self._load(recover)
+            fcntl.flock(self._fh.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except OSError:
+            self._fh.close()
+            self._fh = None
+            raise StoreBusy(f"{self.path} is locked by another writer")
+        try:
+            self._load(fresh)
         except BaseException:
             # A failed open must not keep the file, or the writer's lock.
             self.close()
             raise
 
-    def _load(self, recover: bool) -> None:
+    def _load(self, fresh: bool) -> None:
         self._fh.seek(0)
         data = self._fh.read()
+        if len(data) < 4 and STORE_MAGIC.startswith(data):
+            # A new file, or one whose magic a crash cut short: an empty store.
+            self.tail_torn = not fresh
+            fsync_file(self._fh, STORE_MAGIC[len(data) :])
+            fsync_dir(self.path.parent)
+            return
         if data[:4] != STORE_MAGIC:
-            if len(data) < 4 and recover:
-                # Even the magic was torn; an empty store is the only safe view.
-                self.tail_torn = True
-                if self.writable:
-                    self._rewrite_clean(b"")
-                return
-            raise CorruptStore(
-                f"{self.path} does not start with the store magic", offset=0
-            )
+            raise CorruptStore(f"{self.path} does not start with the store magic")
         off = 4
         size = len(data)
         unpack = _U32.unpack_from
         frames: list[tuple[int, int]] = []
-        while off < size:
-            if off + 4 > size:
-                self._torn(recover, off, frames, "torn length prefix")
-                break
+        while off + 4 <= size:
             (length,) = unpack(data, off)
             body = off + 4
             end = body + length
-            if end + 4 > size:
-                self._torn(recover, off, frames, "torn record body")
+            if end + 4 > size or not length:
+                # Cut short, or zeros: every record holds at least "{}".
                 break
             if zlib.crc32(data[body:end]) != unpack(data, end)[0]:
                 # A complete frame with a bad checksum is damage, not a torn
-                # append; refuse to guess, even in recovery mode.
-                raise CorruptStore(
-                    f"checksum mismatch at offset {off} in {self.path}",
-                    offset=off,
-                    records_recovered=len(frames),
-                )
+                # append; refuse to guess.
+                raise CorruptStore(f"checksum mismatch at offset {off} in {self.path}")
             frames.append((body, length))
             off = end + 4
+        if off < size:
+            # The last append never finished, so it was never committed;
+            # but a whole record after it means an earlier length is damaged.
+            if _holds_a_record(data, off + 4):
+                raise CorruptStore(f"damaged record length at offset {off} in {self.path}")
+            self.tail_torn = True
+            self._fh.truncate(off)
+            fsync_file(self._fh)
         self._data = data
         self._frames = frames
 
     def _damaged(self, what: str, index: int) -> CorruptStore:
-        offset = self._frames[index][0] - 4
-        return CorruptStore(
-            f"{what} at offset {offset} in {self.path}",
-            offset=offset,
-            records_recovered=index,
-        )
+        return CorruptStore(f"{what} at offset {self._frames[index][0] - 4} in {self.path}")
 
     def decode(self, index: int) -> dict:
         """Parse the ``index``-th frame read at open.
@@ -225,36 +225,10 @@ class RecordLog:
                 raise self._damaged(unreadable, index)
         return out
 
-    def _torn(self, recover: bool, offset: int, frames: list, what: str) -> None:
-        if not recover:
-            raise CorruptStore(
-                f"{what} at offset {offset} in {self.path}",
-                offset=offset,
-                records_recovered=len(frames),
-            )
-        self.tail_torn = True
-        if self.writable:
-            self._fh.truncate(offset)
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
-
-    def _rewrite_clean(self, body: bytes) -> None:
-        self._fh.seek(0)
-        self._fh.truncate(0)
-        self._fh.write(STORE_MAGIC + body)
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-
     def append(self, payload: dict) -> None:
         """Durably add one record; returns only after flush and fsync."""
-        if not self.writable:
-            raise PersistenceError("store opened read-only")
         body = _canonical(payload)
-        frame = _U32.pack(len(body)) + body + _U32.pack(zlib.crc32(body))
-        self._fh.seek(0, os.SEEK_END)
-        self._fh.write(frame)
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
+        fsync_file(self._fh, _U32.pack(len(body)) + body + _U32.pack(zlib.crc32(body)))
         self._appended.append(payload)
 
     def records(self) -> list[dict]:
@@ -322,8 +296,8 @@ class _IndexedLog:
 
     _id_key: str
 
-    def __init__(self, path: str | Path, writable: bool = True, recover: bool = False):
-        self.log = RecordLog(path, writable=writable, recover=recover)
+    def __init__(self, path: str | Path):
+        self.log = RecordLog(path)
         try:
             ids = self.log.ids(self._id_key)
         except CorruptStore:

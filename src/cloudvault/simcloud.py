@@ -36,7 +36,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from . import integrity
-from .persistence import fsync_dir
+from .persistence import fsync_dir, fsync_file
 
 
 class SimCloudError(Exception):
@@ -357,7 +357,7 @@ class SimCloud:
         ):
             return False
         with open(pack, "ab") as f:
-            _write_frame(f, head, bodies)
+            fsync_file(f, _MAGIC + struct.pack(">I", len(head)) + head, *bodies)
         old.length += 8 + len(head) + added
         old.later_heads += len(head)
         old.live += added - replaced
@@ -375,7 +375,7 @@ class SimCloud:
         )
         tmp = pack.with_name(_PACK + ".tmp")
         with open(tmp, "wb") as f:
-            _write_frame(f, head, bodies)
+            fsync_file(f, _MAGIC + struct.pack(">I", len(head)) + head, *bodies)
         os.replace(tmp, pack)
         (pack.parent / _LEGACY).unlink(missing_ok=True)
         fsync_dir(pack.parent)
@@ -464,13 +464,6 @@ class SimCloud:
             holder._admit(fault)
             holder._faults.add(fault)
         return cloud
-
-
-def _write_frame(f, head: bytes, bodies: list) -> None:
-    f.write(_MAGIC + struct.pack(">I", len(head)) + head)
-    f.writelines(bodies)
-    f.flush()
-    os.fsync(f.fileno())
 
 
 def _read_frame(view: memoryview, at: int) -> tuple[dict, int, int] | None:

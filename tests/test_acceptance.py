@@ -25,7 +25,6 @@ from cloudvault.entropy_split import (
     recovery_probability,
 )
 from cloudvault.persistence import (
-    CorruptStore,
     KeyStore,
     ManifestStore,
     RecordLog,
@@ -439,7 +438,7 @@ def test_10_identifiers_never_reach_providers_and_tables_round_trip(tmp_path):
 def test_11_every_truncation_point_yields_only_complete_records(tmp_path):
     base = tmp_path / "store.cmf"
     originals = [{"seq": i, "body": "x" * (10 + 7 * i)} for i in range(3)]
-    log = RecordLog(base, writable=True)
+    log = RecordLog(base)
     ends = [base.stat().st_size]  # just the magic
     for payload in originals:
         log.append(payload)
@@ -452,15 +451,11 @@ def test_11_every_truncation_point_yields_only_complete_records(tmp_path):
         path = tmp_path / f"cut-{cut}.cmf"
         path.write_bytes(blob[:cut])
         complete = bisect_right(ends[1:], cut)
-        if cut in ends:
-            intact = RecordLog(path, writable=False)
-            assert not intact.tail_torn
-            assert intact.records() == originals[:complete]
-            intact.close()
-        else:
-            with pytest.raises(CorruptStore):
-                RecordLog(path, writable=False)
-            recovered = RecordLog(path, writable=False, recover=True)
-            assert recovered.tail_torn
-            assert recovered.records() == originals[:complete]
-            recovered.close()
+        with RecordLog(path) as log:
+            assert log.tail_torn == (cut not in ends)
+            assert log.records() == originals[:complete]
+        # The torn bytes are cut off: the file is the clean prefix.
+        assert path.read_bytes() == blob[: ends[complete]]
+        with RecordLog(path) as log:
+            assert not log.tail_torn
+            assert log.records() == originals[:complete]

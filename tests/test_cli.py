@@ -3,14 +3,16 @@ import hashlib
 import json
 import os
 import random
+import struct
 import subprocess
 import sys
 import warnings
+import zlib
 from pathlib import Path
 
 import pytest
 
-from cloudvault import simcloud
+from cloudvault import persistence, simcloud
 from cloudvault.anonymize import parse_group
 from cloudvault.cli import main
 
@@ -336,6 +338,82 @@ def test_get_on_a_truncated_snapshot_exits_one(tmp_path, capsys):
 
     assert main([*_paths(tmp_path), "get", "o"]) == 1
     assert _kv(capsys.readouterr().err)["error"] == "SnapshotCorrupt"
+
+
+def _whole_frames(raw, at):
+    """The store frames in ``raw`` from offset ``at``, which must be whole
+    and checksummed up to the end."""
+    bodies = []
+    while at < len(raw):
+        (length,) = struct.unpack_from("<I", raw, at)
+        body = raw[at + 4 : at + 4 + length]
+        (crc,) = struct.unpack_from("<I", raw, at + 4 + length)
+        assert crc == zlib.crc32(body)
+        bodies.append(body)
+        at += 8 + length
+    assert at == len(raw)
+    return bodies
+
+
+def test_commands_after_a_crash_mid_append_cut_the_torn_tail(tmp_path, capsys):
+    payloads = {"s": random.Random(16).randbytes(2000), "p": random.Random(17).randbytes(400)}
+    for oid, level in (("s", "secret"), ("p", "unclassified")):
+        (tmp_path / f"{oid}.in").write_bytes(payloads[oid])
+        assert main([*_paths(tmp_path), "put", str(tmp_path / f"{oid}.in"), "--level", level,
+                     "--object-id", oid]) == 0
+    clean = {}
+    for name in ("manifest.cmf", "keystore.cmf"):
+        log = tmp_path / name
+        clean[name] = log.read_bytes()
+        # Half of a real frame, as a crash mid-append leaves it.
+        (length,) = struct.unpack_from("<I", clean[name], 4)
+        log.write_bytes(clean[name] + clean[name][4 : 4 + length // 2])
+
+    for oid, payload in payloads.items():
+        out = tmp_path / f"{oid}.out"
+        assert main([*_paths(tmp_path), "get", oid, "--out", str(out)]) == 0
+        assert out.read_bytes() == payload
+    capsys.readouterr()
+    assert main([*_paths(tmp_path), "audit", "s"]) == 0
+    assert "intact=true" in capsys.readouterr().out.splitlines()
+    (tmp_path / "n.in").write_bytes(random.Random(18).randbytes(900))
+    assert main([*_paths(tmp_path), "put", str(tmp_path / "n.in"), "--level", "secret",
+                 "--object-id", "n"]) == 0
+
+    for name, before in clean.items():
+        raw = (tmp_path / name).read_bytes()
+        assert raw[: len(before)] == before
+        assert _whole_frames(raw, len(before))
+
+
+def test_a_put_loads_the_fleet_only_under_the_stores_lock(tmp_path, monkeypatch):
+    payloads = {"a": random.Random(19).randbytes(600), "b": random.Random(20).randbytes(600)}
+    for oid, payload in payloads.items():
+        (tmp_path / f"{oid}.in").write_bytes(payload)
+
+    def put(oid):
+        return main([*_paths(tmp_path), "put", str(tmp_path / f"{oid}.in"), "--level",
+                     "secret", "--object-id", oid])
+
+    # Put "b" while put "a" waits to open its manifest.
+    opened, nested = [], []
+    real_init = persistence.ManifestStore.__init__
+
+    def init(self, path):
+        opened.append(path)
+        if len(opened) == 1:
+            nested.append(put("b"))
+        real_init(self, path)
+
+    monkeypatch.setattr(persistence.ManifestStore, "__init__", init)
+    assert put("a") == 0
+    assert nested == [0]
+    monkeypatch.undo()
+
+    for oid, payload in payloads.items():
+        out = tmp_path / f"{oid}.out"
+        assert main([*_paths(tmp_path), "get", oid, "--out", str(out)]) == 0
+        assert out.read_bytes() == payload
 
 
 def test_usage_errors_exit_two(tmp_path):

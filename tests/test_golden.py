@@ -162,7 +162,7 @@ def test_stores_from_an_earlier_release_still_get_and_audit(tmp_path, capsys):
     # "compat" is random.Random("compat").randbytes(1200) in 4 chunks.
     root = tmp_path / "compat"
     shutil.copytree(_COMPAT, root)
-    with KeyStore(root / "keystore.cmf", writable=False) as ks:
+    with KeyStore(root / "keystore.cmf") as ks:
         assert {t["field"] for t in ks.get("itok:compat")["tables"]} == {"00"}
     paths = [
         "--manifest", str(root / "manifest.cmf"),
@@ -193,7 +193,7 @@ def test_audited_store_from_an_earlier_release_never_replays_a_round(
     # rounds 0-2 of every column as issued inside the token tables.
     root = tmp_path / "compat-audited"
     shutil.copytree(_COMPAT_AUDITED, root)
-    with KeyStore(root / "keystore.cmf", writable=False) as ks:
+    with KeyStore(root / "keystore.cmf") as ks:
         tables = ks.get("itok:audited")["tables"]
         assert {r for t in tables for r, _ in t["issued"]} == {0, 1, 2}
         assert {t["rounds"] for t in tables} == {16}
@@ -240,7 +240,7 @@ def test_new_records_join_a_store_from_an_earlier_release(tmp_path, capsys):
     # and old and new objects read back side by side from one store.
     root = tmp_path / "compat-audited"
     shutil.copytree(_COMPAT_AUDITED, root)
-    with KeyStore(root / "keystore.cmf", writable=False) as ks:
+    with KeyStore(root / "keystore.cmf") as ks:
         old_keys = len(ks.log.records())
     paths = [
         "--manifest", str(root / "manifest.cmf"),
@@ -265,11 +265,11 @@ def test_new_records_join_a_store_from_an_earlier_release(tmp_path, capsys):
         assert main([*paths, "audit", oid]) == 0
         assert "intact=true" in capsys.readouterr().out.splitlines()
 
-    with ManifestStore(root / "manifest.cmf", writable=False) as manifest:
+    with ManifestStore(root / "manifest.cmf") as manifest:
         assert _DROPPED_DETAILS & set(manifest.lookup("audited").details)
         for oid in ("fresh", "he-fresh"):
             assert not _DROPPED_DETAILS & set(manifest.lookup(oid).details)
-    with KeyStore(root / "keystore.cmf", writable=False) as ks:
+    with KeyStore(root / "keystore.cmf") as ks:
         records = ks.log.records()
     assert {"kind", "version"} <= set(records[0])
     new = records[old_keys:]

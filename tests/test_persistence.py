@@ -64,7 +64,7 @@ def test_versions_increment_and_history_kept(tmp_path):
         (2, "two"),
     ]
     store.close()
-    with ManifestStore(str(tmp_path / "m.cmf"), writable=False) as reopened:
+    with ManifestStore(str(tmp_path / "m.cmf")) as reopened:
         assert reopened.lookup("a").version == 2
         assert reopened.lookup("a").details == {"rev": "two"}
 
@@ -78,20 +78,8 @@ def test_survives_reopen(tmp_path):
     path = str(tmp_path / "m.cmf")
     with ManifestStore(path) as store:
         store.commit(_record("a"))
-    with ManifestStore(path, writable=False) as store:
+    with ManifestStore(path) as store:
         assert store.lookup("a").object_id == "a"
-
-
-def test_torn_tail_raises_without_recover(tmp_path):
-    path = tmp_path / "m.cmf"
-    store = ManifestStore(str(path))
-    store.commit(_record("a"))
-    store.commit(_record("b"))
-    store.log.close()
-    raw = path.read_bytes()
-    path.write_bytes(raw[:-3])
-    with pytest.raises(CorruptStore):
-        ManifestStore(str(path), writable=False)
 
 
 def test_torn_tail_recovery_serves_prefix_and_truncates(tmp_path):
@@ -110,15 +98,15 @@ def test_torn_tail_recovery_serves_prefix_and_truncates(tmp_path):
     intact_after_one = solo.stat().st_size
 
     path.write_bytes(raw[: intact_after_one + 5])  # 5 bytes into record "b"
-    store = ManifestStore(str(path), recover=True)
+    store = ManifestStore(str(path))
     assert store.tail_torn
     assert store.lookup("a").object_id == "a"
     with pytest.raises(NotFound):
         store.lookup("b")
-    # Writable recovery truncates the torn frame so appends go to a clean end.
+    # Open cut the torn frame off, so appends go to a clean end.
     store.commit(_record("c"))
     store.log.close()
-    with ManifestStore(str(path), writable=False) as reopened:
+    with ManifestStore(str(path)) as reopened:
         assert reopened.lookup("c").object_id == "c"
         assert not reopened.tail_torn
 
@@ -133,16 +121,47 @@ def test_interior_corruption_always_fatal(tmp_path):
     raw[len(STORE_MAGIC) + 6] ^= 0xFF  # inside record "a" body
     path.write_bytes(bytes(raw))
     with pytest.raises(CorruptStore):
-        ManifestStore(str(path), writable=False, recover=True)
+        ManifestStore(str(path))
 
 
-@pytest.mark.parametrize("damage", ["torn tail", "frame without id"])
+def test_a_zero_filled_tail_is_cut(tmp_path):
+    # A crash can leave the file longer than what was written, padded with zeros.
+    path = tmp_path / "m.cmf"
+    with ManifestStore(str(path)) as store:
+        store.commit(_record("a"))
+    clean = path.read_bytes()
+    path.write_bytes(clean + bytes(100))
+    with ManifestStore(str(path)) as store:
+        assert store.tail_torn
+        assert store.lookup("a").version == 1
+    assert path.read_bytes() == clean
+
+
+def test_a_damaged_length_before_whole_records_is_not_cut(tmp_path):
+    # A record whose length runs past the end reads as torn, unless whole
+    # records follow it: then the length is damaged and nothing is cut.
+    path = tmp_path / "m.cmf"
+    with ManifestStore(str(path)) as store:
+        for oid in "abc":
+            store.commit(_record(oid))
+    raw = bytearray(path.read_bytes())
+    (first,) = struct.unpack_from("<I", raw, len(STORE_MAGIC))
+    raw[len(STORE_MAGIC) + 8 + first + 2] ^= 0x01  # the length of record "b"
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CorruptStore):
+        ManifestStore(str(path))
+    assert path.read_bytes() == raw
+
+
+@pytest.mark.parametrize("damage", ["bad checksum", "frame without id"])
 def test_failed_open_releases_the_writer_lock(tmp_path, damage):
     path = tmp_path / "m.cmf"
     with ManifestStore(str(path)) as store:
         store.commit(_record("a"))
-    if damage == "torn tail":
-        path.write_bytes(path.read_bytes() + b"\x05\x00")
+    if damage == "bad checksum":
+        raw = bytearray(path.read_bytes())
+        raw[-1] ^= 0xFF
+        path.write_bytes(bytes(raw))
     else:
         _write_frames(path, [b'{"k":1}'])
     with pytest.raises(CorruptStore) as failed:
@@ -158,7 +177,26 @@ def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "m.cmf"
     path.write_bytes(b"NOPE" + bytes(20))
     with pytest.raises(CorruptStore):
-        ManifestStore(str(path), writable=False)
+        ManifestStore(str(path))
+
+
+@pytest.mark.parametrize("raw, torn", [(b"CM", True), (b"", True), (b"XY", False)])
+def test_a_short_file_is_an_empty_store_only_if_it_starts_the_magic(tmp_path, raw, torn):
+    path = tmp_path / "m.cmf"
+    path.write_bytes(raw)
+    if not torn:
+        with pytest.raises(CorruptStore):
+            ManifestStore(str(path))
+        assert path.read_bytes() == raw
+        return
+    with ManifestStore(str(path)) as store:
+        assert store.tail_torn
+        assert store.log.records() == []
+        assert path.read_bytes() == STORE_MAGIC
+        store.commit(_record("a"))
+    with ManifestStore(str(path)) as reopened:
+        assert not reopened.tail_torn
+        assert reopened.lookup("a").version == 1
 
 
 def test_checksum_frame_layout(tmp_path):
@@ -186,15 +224,6 @@ def test_writer_lock_excludes_second_writer(tmp_path):
     second.log.close()
 
 
-def test_readers_bypass_lock(tmp_path):
-    path = str(tmp_path / "m.cmf")
-    writer = ManifestStore(path)
-    writer.commit(_record("a"))
-    with ManifestStore(path, writable=False) as reader:
-        assert reader.lookup("a").object_id == "a"
-    writer.log.close()
-
-
 def test_keystore_versions_latest_wins(tmp_path):
     ks = KeyStore(str(tmp_path / "k.cmf"))
     ks.put("master", {"hex": "aa"})
@@ -207,7 +236,7 @@ def test_keystore_versions_latest_wins(tmp_path):
     with pytest.raises(NotFound):
         ks.get("other")
     ks.close()
-    with KeyStore(str(tmp_path / "k.cmf"), writable=False) as reopened:
+    with KeyStore(str(tmp_path / "k.cmf")) as reopened:
         assert reopened.get("master") == {"hex": "bb"}
 
 
@@ -227,7 +256,7 @@ def test_lookup_decodes_only_the_record_it_returns(tmp_path, monkeypatch):
     decoded = []
     real_loads = json.loads
     monkeypatch.setattr(json, "loads", lambda *a, **k: decoded.append(1) or real_loads(*a, **k))
-    store = ManifestStore(str(path), writable=False)
+    store = ManifestStore(str(path))
     assert store.lookup("o417").details == {"n": 417}
     assert len(decoded) <= 1
     store.lookup("o417")  # the decoded record is kept
@@ -249,7 +278,7 @@ def test_ids_with_escapes_look_up_after_a_reopen(tmp_path, oid):
     with ManifestStore(path) as store:
         store.commit(_record(oid, note="wanted"))
         store.commit(_record("decoy", note="other"))
-    with ManifestStore(path, writable=False) as reopened:
+    with ManifestStore(path) as reopened:
         assert reopened.lookup(oid).details == {"note": "wanted"}
         assert reopened.lookup("decoy").details == {"note": "other"}
 
@@ -259,7 +288,7 @@ def test_nested_id_keys_do_not_shadow_the_record_id(tmp_path):
     details = {"object_id": "inner", "deeper": {"object_id": "innermost"}}
     with ManifestStore(path) as store:
         store.commit(_record("outer", **details))
-    with ManifestStore(path, writable=False) as reopened:
+    with ManifestStore(path) as reopened:
         assert reopened.lookup("outer").details == details
         for nested in ("inner", "innermost"):
             with pytest.raises(NotFound):
@@ -277,7 +306,7 @@ def test_legacy_keystore_records_with_kind_and_version(tmp_path):
             _canonical({"key_id": "iround:a", "data": {"n": 3}}),
         ],
     )
-    with KeyStore(str(path), writable=False) as ks:
+    with KeyStore(str(path)) as ks:
         assert ks.get("itok:a") == {"v": 1}
         assert ks.get("iround:a") == {"n": 3}
 
@@ -287,7 +316,7 @@ def test_undecodable_body_fails_when_read(tmp_path):
     path = tmp_path / "m.cmf"
     good = _canonical(_record("a").to_payload() | {"version": 1})
     _write_frames(path, [good, b'{"details":{},"object_id":"b",', b'\xff{"object_id":"c"}'])
-    store = ManifestStore(str(path), writable=False)
+    store = ManifestStore(str(path))
     assert store.lookup("a").object_id == "a"
     for oid in ("b", "c"):
         with pytest.raises(CorruptStore):
@@ -301,7 +330,7 @@ def test_record_not_matching_its_indexed_id_fails_when_read(tmp_path):
     # Not canonical: a nested id after the top-level one.
     path = tmp_path / "m.cmf"
     _write_frames(path, [b'{"object_id":"a","pipeline":{"object_id":"b"}}'])
-    with ManifestStore(str(path), writable=False) as store:
+    with ManifestStore(str(path)) as store:
         with pytest.raises(CorruptStore):
             store.lookup("b")
 
@@ -313,7 +342,7 @@ def test_frame_without_a_readable_id_fails_at_open(tmp_path, body):
     path = tmp_path / "m.cmf"
     _write_frames(path, [_canonical(_record("a").to_payload()), body])
     with pytest.raises(CorruptStore):
-        ManifestStore(str(path), writable=False)
+        ManifestStore(str(path))
 
 
 def test_writable_reopen_continues_the_version_count(tmp_path):
@@ -329,7 +358,7 @@ def test_writable_reopen_continues_the_version_count(tmp_path):
         assert [(r["object_id"], r["version"]) for r in store.log.records()] == [
             ("a", 1), ("a", 2), ("b", 1), ("a", 3), ("a", 4),
         ]
-    with ManifestStore(path, writable=False) as reopened:
+    with ManifestStore(path) as reopened:
         assert reopened.lookup("a").version == 4
         assert reopened.lookup("b").version == 1
 
