@@ -84,10 +84,12 @@ def _encode_identifier(values: Sequence[Cell]) -> bytes:
     return bytes(out)
 
 
-def row_digest(salt: bytes, values: Sequence[Cell], size: int = DEFAULT_DIGEST_SIZE) -> bytes:
+def row_digest(salt: bytes, values: Sequence[Cell]) -> bytes:
     """Salted keyed digest of an identifier tuple."""
     key = salt if len(salt) <= 64 else hashlib.blake2b(salt).digest()
-    return hashlib.blake2b(_encode_identifier(values), key=key, digest_size=size).digest()
+    return hashlib.blake2b(
+        _encode_identifier(values), key=key, digest_size=DEFAULT_DIGEST_SIZE
+    ).digest()
 
 
 def partition_columns(
@@ -115,7 +117,6 @@ def anonymize_table(
     id_columns: Sequence[str],
     groups: Sequence[Sequence[str]],
     salt: bytes,
-    digest_size: int = DEFAULT_DIGEST_SIZE,
     shuffle_rows: bool = False,
 ) -> AnonymizedTable:
     """Strip identifiers, digest them, and slice the rest into groups.
@@ -163,10 +164,10 @@ def anonymize_table(
         if ident in seen_ids:
             raise DuplicateIdentifier(f"identifier tuple {ident!r} appears twice")
         seen_ids.add(ident)
-        d = row_digest(salt, ident, digest_size)
+        d = row_digest(salt, ident)
         if d in mapping:
             raise DigestCollision(
-                f"digest collision at size {digest_size}; refusing to merge rows"
+                f"digest collision at size {len(d)}; refusing to merge rows"
             )
         mapping[d] = ident
         digests.append(d)

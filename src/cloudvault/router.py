@@ -226,8 +226,9 @@ class Router:
 
         Raises:
             NoProviders: remote pipeline with an empty fleet.
-            PlacementError: share spreading cannot keep every provider
-                below the threshold.
+            PlacementError: the threshold is below 2, so a share is the
+                chunk itself, or share spreading cannot keep every
+                provider below the threshold.
         """
         level, ops = obj.secret_level, obj.operation_class
         if level is SecretLevel.TOP_SECRET:
@@ -249,8 +250,10 @@ class Router:
                 shamir.ShareScheme(threshold=k, share_count=n)
             except shamir.InvalidScheme as e:
                 raise PlacementError(f"unusable scheme parameters k={k}, n={n}: {e}")
+            if k < 2:
+                raise PlacementError(f"threshold {k} would store every share in the clear")
             per_provider = math.ceil(n / len(providers))
-            if per_provider >= max(k, 2):
+            if per_provider >= k:
                 raise PlacementError(
                     f"{n} shares over {len(providers)} providers would give one "
                     f"provider {per_provider} shares with threshold {k}"

@@ -6,7 +6,8 @@ sampled rows of a stored blob so integrity checks never pull the blob back.
 Faults are values, not mutations: injecting one overlays the behavior
 (a node goes dark, a fetch returns flipped bytes), clearing it restores the
 original blob bit for bit. That keeps scenarios reversible and lets tests
-tear down cleanly.
+tear down cleanly. Faults live in memory only, for the process that
+injected them: a save never writes them and a load starts with none.
 
 The insider view is first-class: ``insider_dump`` returns every blob a
 provider holds, in deterministic (node, blob id) order, which is what the
@@ -17,12 +18,12 @@ string stands in for it here.
 
 The fleet persists as ``simcloud.pack``, a sequence of frames. Each frame is
 the magic ``CVS1``, a 4-byte big-endian header length, a JSON header
-``{providers: {pid: {nodes, credential, blobs: [[node, id, size]]}},
-faults}`` and then the blob bytes in header order. A full save writes one
-frame holding everything; a later save appends one frame holding only the
-blobs stored since, plus the whole fault list. Load merges the frames in
-order: a later blob under the same (node, id) replaces the earlier one, and
-the last frame's faults are the fault set.
+``{providers: {pid: {nodes, credential, blobs: [[node, id, size]]}}}`` and
+then the blob bytes in header order. A full save writes one frame holding
+everything; a later save appends one frame holding only the blobs stored
+since. Load merges the frames in order: a later blob under the same
+(node, id) replaces the earlier one. Load ignores a ``faults`` key, which
+older packs and ``simcloud.json`` carry.
 """
 
 from __future__ import annotations
@@ -88,7 +89,6 @@ class InsiderDump:
 
 
 Fault = NodeUnavailable | CorruptBlob | InsiderDump
-_FAULT_KINDS = {k.__name__: k for k in (NodeUnavailable, CorruptBlob, InsiderDump)}
 
 _PACK = "simcloud.pack"
 _LEGACY = "simcloud.json"  # the snapshot older versions wrote
@@ -99,8 +99,8 @@ _MAGIC = b"CVS1"
 class _Packed:
     """What the pack at ``path`` holds, as the cloud last read or wrote it:
     its clean length, the JSON bytes of the first frame's header and of all
-    later ones together, live and superseded body bytes, each provider's
-    blob objects, and the fault set."""
+    later ones together, live and superseded body bytes, and each
+    provider's blob objects."""
 
     path: Path
     length: int
@@ -109,7 +109,6 @@ class _Packed:
     live: int
     dead: int
     blobs: dict[str, dict[tuple[str, str], bytes]]
-    faults: frozenset
 
 
 @dataclass(frozen=True)
@@ -191,28 +190,19 @@ class SimProvider:
     def inject(self, fault: Fault) -> None:
         """Activate a fault. Idempotent; injecting twice is one fault. A
         CorruptBlob's offset must fall inside the blob as stored now."""
-        self._admit(fault)
-        if isinstance(fault, CorruptBlob):
-            size = len(self._blobs[fault.node, fault.blob_id])
-            if fault.offset >= size:
-                raise ValueError(f"offset {fault.offset} outside a {size}-byte blob")
-        self._faults.add(fault)
-
-    def _admit(self, fault: Fault) -> None:
-        """Checks that hold for as long as the fault stays active; a
-        snapshot's faults are restored through these alone, because a blob
-        may have been re-stored shorter since its fault was injected."""
         if fault.provider != self.provider_id:
             raise UnknownTarget(f"fault addressed to {fault.provider}, not me")
         if isinstance(fault, (NodeUnavailable, CorruptBlob)) and fault.node not in self.nodes:
             raise UnknownTarget(f"provider {self.provider_id} has no node {fault.node!r}")
         if isinstance(fault, CorruptBlob):
-            if (fault.node, fault.blob_id) not in self._blobs:
+            blob = self._blobs.get((fault.node, fault.blob_id))
+            if blob is None:
                 raise UnknownBlob(f"no blob {fault.blob_id!r} to corrupt")
             if not 1 <= fault.mask <= 255:
                 raise ValueError("corruption mask must flip at least one bit")
-            if fault.offset < 0:
-                raise ValueError(f"negative corruption offset {fault.offset}")
+            if not 0 <= fault.offset < len(blob):
+                raise ValueError(f"offset {fault.offset} outside a {len(blob)}-byte blob")
+        self._faults.add(fault)
 
     def clear(self, fault: Fault) -> None:
         """Deactivate a fault; the original stored bytes were never touched."""
@@ -287,8 +277,8 @@ class SimCloud:
 
         When the pack there still has the clean length this cloud read or
         last wrote, save appends and fsyncs one frame with the blobs stored
-        or replaced since then and the full fault list, or writes nothing if
-        neither changed. Otherwise, and when a compaction is due, it writes
+        or replaced since then, or writes nothing if there are none. Faults
+        are never written. Otherwise, and when a compaction is due, it writes
         the whole fleet as one frame under a temp name, fsyncs it, renames
         it over the old pack, removes a legacy JSON snapshot and fsyncs the
         directory, so a crash leaves the old snapshot or the new one.
@@ -301,12 +291,9 @@ class SimCloud:
         if not self._append(pack):
             self._rewrite(pack)
 
-    def _faults(self) -> frozenset:
-        return frozenset(f for p in self.providers.values() for f in p._faults)
-
-    def _frame(self, blobs: dict[str, list], faults: frozenset) -> tuple[bytes, list]:
+    def _frame(self, blobs: dict[str, list]) -> tuple[bytes, list]:
         """The header and bodies of a frame holding ``blobs``, a sorted list
-        of ((node, id), data) per provider, and ``faults``."""
+        of ((node, id), data) per provider."""
         header = {
             "providers": {
                 pid: {
@@ -316,10 +303,6 @@ class SimCloud:
                 }
                 for pid, items in blobs.items()
             },
-            "faults": [
-                {"kind": type(f).__name__, **f.__dict__}
-                for f in sorted(faults, key=lambda f: (f.provider, repr(f)))
-            ],
         }
         # Id order, as sort_keys orders the header, so bytes match entries.
         bodies = [data for pid in sorted(blobs) for _, data in blobs[pid]]
@@ -329,7 +312,7 @@ class SimCloud:
         """Append what changed since the pack was read or written; False
         when the pack has to be rewritten instead. A fleet's providers and
         their nodes are fixed when it is built, and no call removes a blob,
-        so the blobs stored or replaced and the faults are the whole change."""
+        so the blobs stored or replaced are the whole change."""
         old = self._packed
         if old is None or old.path != pack:
             return False
@@ -346,10 +329,9 @@ class SimCloud:
             if new:
                 changed[pid] = new
                 replaced += sum(len(held[key]) for key, _ in new if key in held)
-        faults = self._faults()
-        if not changed and faults == old.faults:
+        if not changed:
             return True
-        head, bodies = self._frame(changed, faults)
+        head, bodies = self._frame(changed)
         added = sum(map(len, bodies))
         if (
             old.later_heads + len(head) > old.first_head
@@ -364,14 +346,12 @@ class SimCloud:
         old.dead += replaced
         for pid, items in changed.items():
             old.blobs[pid].update(items)
-        old.faults = faults
         return True
 
     def _rewrite(self, pack: Path) -> None:
         pack.parent.mkdir(parents=True, exist_ok=True)
-        faults = self._faults()
         head, bodies = self._frame(
-            {pid: sorted(p._blobs.items()) for pid, p in self.providers.items()}, faults
+            {pid: sorted(p._blobs.items()) for pid, p in self.providers.items()}
         )
         tmp = pack.with_name(_PACK + ".tmp")
         with open(tmp, "wb") as f:
@@ -391,16 +371,16 @@ class SimCloud:
             live=live,
             dead=dead,
             blobs={pid: dict(p._blobs) for pid, p in self.providers.items()},
-            faults=self._faults(),
         )
 
     @classmethod
     def load(cls, directory: str | Path) -> "SimCloud":
-        """The fleet ``save`` wrote, providers in id order, read from the pack
-        or else from a legacy ``simcloud.json``. Blobs stay views into the
-        one read of the pack. Raises FileNotFoundError when there is neither
-        and SnapshotCorrupt when the one found is damaged; a torn last frame
-        that is not the first is a crash mid-append, and is skipped."""
+        """The fleet ``save`` wrote, providers in id order and no fault
+        active, read from the pack or else from a legacy ``simcloud.json``.
+        Blobs stay views into the one read of the pack. Raises
+        FileNotFoundError when there is neither and SnapshotCorrupt when the
+        one found is damaged; a torn last frame that is not the first is a
+        crash mid-append, and is skipped."""
         pack = Path(directory).absolute() / _PACK
         try:
             raw = pack.read_bytes()
@@ -418,7 +398,6 @@ class SimCloud:
         fleet: dict[str, SimProvider] = {}
         heads: list[int] = []
         at = total = dead = 0
-        faults: list[dict] = []
         while at < len(view):
             frame = _read_frame(view, at)
             if frame is None:
@@ -436,11 +415,10 @@ class SimCloud:
                     dead += len(blobs.get((node, blob_id), b""))
                     blobs[node, blob_id] = view[body : body + size]
                     body += size
-            faults = header["faults"]
             at = end
         if not heads:
             raise SnapshotCorrupt("not a provider snapshot")
-        cloud = cls._restore([fleet[pid] for pid in sorted(fleet)], faults)
+        cloud = cls(fleet[pid] for pid in sorted(fleet))
         cloud._packed = cloud._track(pack, at, heads, total - dead, dead)
         return cloud
 
@@ -453,17 +431,7 @@ class SimCloud:
             for blob in pdata["blobs"]:
                 p._blobs[(blob["node"], blob["blob_id"])] = base64.b64decode(blob["data"])
             providers.append(p)
-        return cls._restore(providers, state["faults"])
-
-    @classmethod
-    def _restore(cls, providers: list[SimProvider], faults: list[dict]) -> "SimCloud":
-        cloud = cls(providers)
-        for entry in faults:
-            fault = _FAULT_KINDS[entry.pop("kind")](**entry)
-            holder = cloud.provider(fault.provider)
-            holder._admit(fault)
-            holder._faults.add(fault)
-        return cloud
+        return cls(providers)
 
 
 def _read_frame(view: memoryview, at: int) -> tuple[dict, int, int] | None:

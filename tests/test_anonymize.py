@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from cloudvault import anonymize
 from cloudvault.anonymize import (
     DigestCollision,
     DuplicateIdentifier,
@@ -86,14 +87,15 @@ def test_duplicate_identifier_rejected():
         anonymize_table(rows, _IDS, _GROUPS, salt=b"d" * 16)
 
 
-def test_digest_collision_detected():
+def test_digest_collision_detected(monkeypatch):
     # One-byte digests collide fast; the failure must be loud, never silent.
+    monkeypatch.setattr(anonymize, "DEFAULT_DIGEST_SIZE", 1)
     rng = random.Random(81)
     rows = [
         {"id": f"user-{i}-{rng.randrange(10**6)}", "v": i} for i in range(200)
     ]
     with pytest.raises(DigestCollision):
-        anonymize_table(rows, ("id",), [["v"]], salt=b"c" * 16, digest_size=1)
+        anonymize_table(rows, ("id",), [["v"]], salt=b"c" * 16)
 
 
 def test_groups_must_partition_payload_columns():

@@ -120,6 +120,14 @@ def test_audit_refuses_fewer_than_one_round(tmp_path, capsys, rounds):
     assert _kv(captured.err)["error"] == "ValueError"
 
 
+def _flip_stored_byte(cloud, pid, node, blob_id, offset, mask):
+    """Damage at rest: store the blob again with one byte flipped."""
+    holder = cloud.provider(pid)
+    data = bytearray(holder.fetch_blob(node, blob_id, credential=holder.credential))
+    data[offset] ^= mask
+    holder.store_blob(node, blob_id, bytes(data), credential=holder.credential)
+
+
 def test_audit_pinpoints_corrupted_blob(tmp_path, capsys):
     # Sampling every row makes detection certain rather than probabilistic.
     cfg = tmp_path / "cfg.txt"
@@ -142,11 +150,7 @@ def test_audit_pinpoints_corrupted_blob(tmp_path, capsys):
         if target:
             break
     assert target is not None
-    cloud.inject(
-        simcloud.CorruptBlob(
-            provider=target[0], node=target[1], blob_id=target[2], offset=0, mask=0xFF
-        )
-    )
+    _flip_stored_byte(cloud, *target, offset=0, mask=0xFF)
     cloud.save(state)
 
     rc = main([*args, "audit", kv["object_id"]])
@@ -506,7 +510,7 @@ def test_get_of_a_damaged_table_group_exits_one(tmp_path, capsys):
         for entry in cloud.insider_dump(pid)
         if entry.blob_id == "t.g0"
     }
-    cloud.inject(simcloud.CorruptBlob(pid, node, "t.g0", offset=13, mask=0x80))
+    _flip_stored_byte(cloud, pid, node, "t.g0", offset=13, mask=0x80)
     cloud.save(state)
     capsys.readouterr()
 
@@ -543,7 +547,7 @@ _LEGACY_BLOB_WITHOUT_DATA = json.dumps({
         pytest.param("inject", "unavailable:alpha", "ValueError", id="unavailable-no-node"),
         pytest.param("inject", "corrupt", "ValueError", id="corrupt-no-provider"),
         pytest.param("inject", "insider", "ValueError", id="insider-no-provider"),
-        pytest.param("legacy", '{"providers": {}}', "SnapshotCorrupt", id="legacy-no-faults"),
+        pytest.param("legacy", '{"faults": []}', "SnapshotCorrupt", id="legacy-no-providers"),
         pytest.param("legacy", _LEGACY_BLOB_WITHOUT_DATA, "SnapshotCorrupt", id="legacy-no-data"),
         pytest.param("legacy", "not json", "SnapshotCorrupt", id="legacy-not-json"),
         pytest.param("legacy", "", "SnapshotCorrupt", id="legacy-empty"),
@@ -557,6 +561,11 @@ _LEGACY_BLOB_WITHOUT_DATA = json.dumps({
         pytest.param("config", "block = -4\n", "ConfigError", id="config-block-negative"),
         pytest.param("config", "providers = a, b\nshare_count = 300\n", "PlacementError",
                      id="config-share-count-above-field"),
+        # A share at threshold 1 is the chunk itself, in the clear.
+        pytest.param("config", "providers = solo\n", "PlacementError",
+                     id="config-one-provider"),
+        pytest.param("config", "providers = a, b, c\nthreshold = 1\n", "PlacementError",
+                     id="config-threshold-one"),
     ],
 )
 def test_malformed_input_exits_one_with_a_named_error(tmp_path, capsys, case, text, error):
@@ -577,6 +586,7 @@ def test_malformed_input_exits_one_with_a_named_error(tmp_path, capsys, case, te
     captured = capsys.readouterr()
     assert _kv(captured.err)["error"] == error
     assert "Traceback" not in captured.out + captured.err
+    assert not (tmp_path / "state" / "simcloud.pack").exists()
     if case == "inject":
         assert text.split(":")[0] + ":<provider>" in _kv(captured.err)["message"]
 

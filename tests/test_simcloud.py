@@ -6,9 +6,11 @@ import random
 import shutil
 import stat
 import struct
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cloudvault import integrity
 from cloudvault.cli import main
@@ -98,17 +100,16 @@ def test_corrupt_offset_must_fall_inside_the_blob(offset):
     assert cloud.provider("alpha").fetch_blob("n0", "b") == b"xyz"
 
 
-def test_fault_on_a_blob_restored_shorter_stays_inert_across_a_reload(tmp_path):
+def test_fault_on_a_blob_restored_shorter_stays_inert():
     cloud = SimCloud.build(_TOPOLOGY)
     alpha = cloud.provider("alpha")
     alpha.store_blob("n0", "b", b"xyz")
     cloud.inject(CorruptBlob("alpha", "n0", "b", offset=2, mask=1))
     alpha.store_blob("n0", "b", b"x")
-    cloud.save(tmp_path)
-    back = SimCloud.load(tmp_path).provider("alpha")
-    assert back.fetch_blob("n0", "b") == b"x"
-    back.store_blob("n0", "b", b"xyz")
-    assert back.fetch_blob("n0", "b") == b"xy{"
+    assert alpha.fetch_blob("n0", "b") == b"x"
+    assert [e.data for e in alpha.insider_dump()] == [b"x"]
+    alpha.store_blob("n0", "b", b"xyz")
+    assert alpha.fetch_blob("n0", "b") == b"xy{"
 
 
 def test_challenge_endpoint_matches_local_compute():
@@ -162,9 +163,9 @@ def test_duplicate_provider_ids_refused():
         SimCloud([SimProvider("a", {"n0": 0}), SimProvider("a", {"n0": 0})])
 
 
-def _sample_fleet():
+def _sample_fleet(faults=True):
     """Unsorted provider ids, an empty blob, a non-ASCII blob id, a provider
-    with no blobs, and one fault of each kind."""
+    with no blobs, and one fault of each kind unless ``faults`` is false."""
     cloud = SimCloud.build(
         {"gamma": {"n0": 0, "deep": 3}, "alpha": {"n0": 0, "n1": 1}, "beta": {"n0": 0}},
         credential="c",
@@ -174,17 +175,15 @@ def _sample_fleet():
     alpha.store_blob("n1", "empty", b"", credential="c")
     gamma.store_blob("deep", "blob-\u00e9\u6f22", bytes(range(256)), credential="c")
     gamma.store_blob("n0", "a", b"\x00" * 40, credential="c")
-    cloud.inject(NodeUnavailable(provider="beta", node="n0"))
-    cloud.inject(CorruptBlob("alpha", "n0", "b", offset=2, mask=0x0F))
-    cloud.inject(InsiderDump(provider="gamma"))
+    if faults:
+        cloud.inject(NodeUnavailable(provider="beta", node="n0"))
+        cloud.inject(CorruptBlob("alpha", "n0", "b", offset=2, mask=0x0F))
+        cloud.inject(InsiderDump(provider="gamma"))
     return cloud
 
 
 def _fleet_state(cloud):
-    return [
-        (pid, p.nodes, p.credential, dict(p._blobs), p._faults)
-        for pid, p in cloud.providers.items()
-    ]
+    return [(pid, p.nodes, p.credential, dict(p._blobs)) for pid, p in cloud.providers.items()]
 
 
 def test_save_load_round_trip(tmp_path):
@@ -197,10 +196,8 @@ def test_save_load_round_trip(tmp_path):
     assert _fleet_state(back) == sorted(_fleet_state(cloud))
     assert back.provider("gamma").nodes == {"n0": 0, "deep": 3}
     assert back.provider("alpha").fetch_blob("n1", "empty", credential="c") == b""
-    assert back.provider("alpha").fetch_blob("n0", "b", credential="c") == b"pavload"
-    assert back.provider("gamma").compromised
-    with pytest.raises(Unavailable):
-        back.provider("beta").fetch_blob("n0", "x", credential="c")
+    assert back.provider("alpha").fetch_blob("n0", "b", credential="c") == b"payload"
+    assert not any(p._faults for p in back.providers.values())
 
     # Saving is deterministic, also for a fleet that was itself loaded.
     first = (tmp_path / "simcloud.pack").read_bytes()
@@ -208,6 +205,34 @@ def test_save_load_round_trip(tmp_path):
     assert (tmp_path / "simcloud.pack").read_bytes() == first
     back.save(tmp_path / "again")
     assert (tmp_path / "again" / "simcloud.pack").read_bytes() == first
+
+
+def test_faults_are_neither_saved_nor_loaded(tmp_path):
+    _sample_fleet().save(tmp_path / "faulty")
+    clean = _sample_fleet(faults=False)
+    clean.save(tmp_path / "clean")
+    raw = (tmp_path / "clean" / "simcloud.pack").read_bytes()
+    assert (tmp_path / "faulty" / "simcloud.pack").read_bytes() == raw
+    assert not any(p._faults for p in SimCloud.load(tmp_path / "faulty").providers.values())
+
+    # A pack whose frames carry a fault list, as earlier releases wrote it.
+    end = 8 + struct.unpack(">I", raw[4:8])[0]
+    header = json.loads(raw[8:end])
+    header["faults"] = [
+        {"kind": "CorruptBlob", "provider": "alpha", "node": "n0", "blob_id": "b",
+         "offset": 2, "mask": 15},
+        {"kind": "NodeUnavailable", "provider": "beta", "node": "n0"},
+        {"kind": "InsiderDump", "provider": "gamma"},
+    ]
+    head = json.dumps(header, sort_keys=True).encode("utf-8")
+    (tmp_path / "old").mkdir()
+    (tmp_path / "old" / "simcloud.pack").write_bytes(
+        raw[:4] + struct.pack(">I", len(head)) + head + raw[end:]
+    )
+    old = SimCloud.load(tmp_path / "old")
+    assert _fleet_state(old) == sorted(_fleet_state(clean))
+    assert not any(p._faults for p in old.providers.values())
+    assert old.provider("alpha").fetch_blob("n0", "b", credential="c") == b"payload"
 
 
 def test_load_without_a_snapshot_raises_file_not_found(tmp_path):
@@ -305,8 +330,17 @@ def _frames(raw):
 
 def test_a_one_frame_pack_is_written_as_the_earlier_release_wrote_it(tmp_path):
     fixture = Path(__file__).parent / "data" / "compat-audited" / "state" / "simcloud.pack"
+    raw = fixture.read_bytes()
+    end = 8 + struct.unpack(">I", raw[4:8])[0]
+    header = json.loads(raw[8:end])
+    assert json.dumps(header, sort_keys=True).encode("utf-8") == raw[8:end]
+    # The same frame, less the fault list the earlier release wrote.
+    assert header.pop("faults") == []
+    head = json.dumps(header, sort_keys=True).encode("utf-8")
     SimCloud.load(fixture.parent).save(tmp_path)
-    assert (tmp_path / "simcloud.pack").read_bytes() == fixture.read_bytes()
+    assert (tmp_path / "simcloud.pack").read_bytes() == (
+        raw[:4] + struct.pack(">I", len(head)) + head + raw[end:]
+    )
 
 
 def test_a_save_appends_only_what_changed(tmp_path):
@@ -320,24 +354,20 @@ def test_a_save_appends_only_what_changed(tmp_path):
     gamma = cloud.provider("gamma")
     gamma.store_blob("n0", "a", b"replaced", credential="c")
     gamma.store_blob("n0", "z", b"new", credential="c")
-    cloud.clear(InsiderDump(provider="gamma"))
     cloud.save(tmp_path)
     after = pack.read_bytes()
     assert after[: len(before)] == before
     (_, _), (at, header) = _frames(after)
     assert at == len(before)
     assert header["providers"]["gamma"]["blobs"] == [["n0", "a", 8], ["n0", "z", 3]]
-    assert list(header["providers"]) == ["gamma"]
-    assert len(header["faults"]) == 2
+    assert list(header) == ["providers"] and list(header["providers"]) == ["gamma"]
     assert after.endswith(b"replacednew")
-    back = SimCloud.load(tmp_path)
-    assert _fleet_state(back) == sorted(_fleet_state(cloud))
-    assert not back.provider("gamma").compromised
+    assert _fleet_state(SimCloud.load(tmp_path)) == sorted(_fleet_state(cloud))
 
     cloud.clear(NodeUnavailable(provider="beta", node="n0"))
-    cloud.save(tmp_path)  # a fault alone is a frame too
-    assert len(_frames(pack.read_bytes())) == 3
-    assert _fleet_state(SimCloud.load(tmp_path)) == sorted(_fleet_state(cloud))
+    cloud.inject(CorruptBlob("gamma", "n0", "z", offset=0, mask=1))
+    cloud.save(tmp_path)  # a fault alone writes nothing
+    assert pack.read_bytes() == after
 
 
 def test_every_cut_inside_an_appended_frame_serves_the_fleet_before_it(tmp_path):
@@ -348,7 +378,6 @@ def test_every_cut_inside_an_appended_frame_serves_the_fleet_before_it(tmp_path)
     cloud = SimCloud.load(tmp_path)
     cloud.provider("alpha").store_blob("n1", "new", b"x" * 50, credential="c")
     cloud.provider("alpha").store_blob("n0", "b", b"other", credential="c")
-    cloud.clear(InsiderDump(provider="gamma"))
     cloud.save(tmp_path)
     after = pack.read_bytes()
     assert len(_frames(after)) == 2
@@ -490,3 +519,85 @@ def test_a_local_put_leaves_the_pack_untouched(tmp_path, capsys):
     _cli_put(tmp_path, "local", "top-secret", 3000)
     assert pack.read_bytes() == before
     assert (pack.stat().st_ino, pack.stat().st_mtime_ns) == (st.st_ino, st.st_mtime_ns)
+
+
+_KEYS = [(pid, node, b) for pid, nodes in _TOPOLOGY.items() for node in nodes for b in "abc"]
+
+
+def _blobs(cloud):
+    return {
+        (pid, *key): bytes(data)
+        for pid, p in cloud.providers.items()
+        for key, data in p._blobs.items()
+    }
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_random_stores_saves_faults_and_tears_load_as_the_last_saved_fleet(data):
+    with tempfile.TemporaryDirectory() as state:
+        pack = Path(state) / "simcloud.pack"
+        cloud = SimCloud.build(_TOPOLOGY)
+        live: dict = {}  # the fleet in memory
+        saved: dict = {}  # the fleet as last saved
+        prefixes: dict = {}  # the fleet each whole-frame prefix of the pack holds
+
+        def store():
+            pid, node, blob_id = key = data.draw(st.sampled_from(_KEYS))
+            blob = data.draw(st.binary(max_size=64))
+            holder = cloud.provider(pid)
+            if NodeUnavailable(pid, node) in holder._faults:
+                with pytest.raises(Unavailable):
+                    holder.store_blob(node, blob_id, blob)
+            else:
+                holder.store_blob(node, blob_id, blob)
+                live[key] = blob
+
+        def save():
+            cloud.save(state)
+            saved.clear()
+            saved.update(live)
+            raw = pack.read_bytes()
+            if len(_frames(raw)) == 1:
+                prefixes.clear()
+            prefixes[len(raw)] = dict(live)
+
+        def reload(want):
+            nonlocal cloud, live
+            cloud = SimCloud.load(state)
+            assert _blobs(cloud) == want
+            assert not any(p._faults for p in cloud.providers.values())
+            live = dict(want)
+            save()
+            assert _blobs(SimCloud.load(state)) == want
+
+        # A larger first frame leaves room for more appends before a compaction.
+        for _ in range(data.draw(st.integers(0, len(_KEYS)))):
+            store()
+        save()
+        for _ in range(data.draw(st.integers(1, 20))):
+            step = data.draw(st.sampled_from(["store", "save", "reload", "fault", "tear"]))
+            if step == "store":
+                store()
+            elif step == "save":
+                save()
+            elif step == "reload":
+                reload(saved)
+            elif step == "fault":
+                pid, node, blob_id = data.draw(st.sampled_from(_KEYS))
+                kind = data.draw(st.sampled_from(["down", "corrupt", "insider"]))
+                if kind == "down":
+                    cloud.inject(NodeUnavailable(pid, node))
+                elif kind == "insider":
+                    cloud.inject(InsiderDump(pid))
+                elif live.get((pid, node, blob_id)):
+                    offset = data.draw(st.integers(0, len(live[pid, node, blob_id]) - 1))
+                    mask = data.draw(st.integers(1, 255))
+                    cloud.inject(CorruptBlob(pid, node, blob_id, offset, mask))
+            else:
+                raw = pack.read_bytes()
+                frames = _frames(raw)
+                if len(frames) > 1:
+                    start = frames[-1][0]
+                    pack.write_bytes(raw[: data.draw(st.integers(start + 1, len(raw) - 1))])
+                    reload(prefixes[start])
