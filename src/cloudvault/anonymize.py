@@ -4,7 +4,8 @@ Every row's unique identifiers are collapsed into a salted keyed digest; the
 digest travels with the data, the identifiers never do. The remaining
 columns are cut vertically into groups, one group per provider, so no single
 provider sees both halves of anything interesting. The digest-to-identifier
-mapping stays local and is the only way back to the original rows.
+mapping stays local and is the only way back to the original rows;
+``local_record`` and ``from_local_record`` are its one stored form.
 
 Digest collisions and duplicate identifier tuples are both hard failures:
 merging distinct people under one digest is the exact harm this layer exists
@@ -17,13 +18,14 @@ import hashlib
 import random
 import struct
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 Cell = str | int
 Record = dict[str, Cell]
 
 GROUP_MAGIC = b"CAN1"
 DEFAULT_DIGEST_SIZE = 16
+_MAX_COLUMN_NAME_BYTES = 0xFFFF  # u16 length prefix in the group wire form
 
 
 class AnonymizeError(Exception):
@@ -58,9 +60,9 @@ class GroupData:
 
 @dataclass(frozen=True)
 class AnonymizedTable:
-    """The local view: row digests, group slices, and the way back."""
+    """The local view: group slices and the way back. ``local_mapping``
+    maps each row digest to its identifier cells, in table row order."""
 
-    digests: tuple[bytes, ...]
     groups: tuple[GroupData, ...]
     id_columns: tuple[str, ...]
     column_order: tuple[str, ...]
@@ -128,7 +130,8 @@ def anonymize_table(
 
     Raises:
         ValueError: no rows, no identifier columns, a column missing from a
-            row, a non-partition grouping, or a bad cell type.
+            row, a non-partition grouping, a bad cell type, or a grouped
+            column name longer than the wire form holds.
         DuplicateIdentifier: repeated identifier tuple.
         DigestCollision: distinct tuples, same digest.
     """
@@ -155,8 +158,14 @@ def anonymize_table(
             "groups must partition the non-identifier columns exactly; "
             f"got {claimed!r}, need {payload_cols!r}"
         )
+    for c in payload_cols:
+        size = len(c.encode("utf-8"))
+        if size > _MAX_COLUMN_NAME_BYTES:
+            raise ValueError(
+                f"column {c[:32]!r}... is {size} UTF-8 bytes; "
+                f"a group holds names of at most {_MAX_COLUMN_NAME_BYTES}"
+            )
 
-    digests: list[bytes] = []
     mapping: dict[bytes, tuple[Cell, ...]] = {}
     seen_ids: set[tuple[Cell, ...]] = set()
     for row in rows:
@@ -170,8 +179,8 @@ def anonymize_table(
                 f"digest collision at size {len(d)}; refusing to merge rows"
             )
         mapping[d] = ident
-        digests.append(d)
 
+    digests = list(mapping)
     group_data = []
     for gi, gcols in enumerate(groups):
         gcols = tuple(gcols)
@@ -190,10 +199,43 @@ def anonymize_table(
             )
         )
     return AnonymizedTable(
-        digests=tuple(digests),
         groups=tuple(group_data),
         id_columns=id_cols,
         column_order=column_order,
+        local_mapping=mapping,
+    )
+
+
+def local_record(table: AnonymizedTable) -> dict[str, Any]:
+    """The table's local secret as a JSON-ready dict: ``id_columns``,
+    ``column_order`` and ``rows``, one ``[digest hex, identifier cells...]``
+    list per row in table row order. JSON keeps each cell's str or int type."""
+    return {
+        "id_columns": list(table.id_columns),
+        "column_order": list(table.column_order),
+        "rows": [[d.hex(), *ident] for d, ident in table.local_mapping.items()],
+    }
+
+
+def from_local_record(
+    record: Mapping[str, Any], groups: Mapping[int, GroupData]
+) -> AnonymizedTable:
+    """The ``AnonymizedTable`` that ``rejoin`` takes, from a ``local_record``
+    and the fetched groups. Also reads an earlier release's record, which
+    kept a write-only ``salt``, the row order as a ``digests`` list and the
+    identifiers in a ``mapping`` of type-tagged ``["i"|"s", text]`` cells."""
+    if "rows" in record:
+        mapping = {bytes.fromhex(d): tuple(ident) for d, *ident in record["rows"]}
+    else:
+        tagged = record["mapping"]
+        mapping = {
+            bytes.fromhex(d): tuple(int(v) if kind == "i" else v for kind, v in tagged[d])
+            for d in record["digests"]
+        }
+    return AnonymizedTable(
+        groups=tuple(groups.values()),
+        id_columns=tuple(record["id_columns"]),
+        column_order=tuple(record["column_order"]),
         local_mapping=mapping,
     )
 
@@ -209,23 +251,20 @@ def rejoin(table: AnonymizedTable, fetched: Mapping[int, GroupData]) -> list[Rec
         MissingGroup: a group index the table expects is absent.
         UnknownDigest: a fetched digest with no local mapping.
     """
-    per_digest: dict[bytes, dict[str, Cell]] = {d: {} for d in table.digests}
+    per_digest: dict[bytes, dict[str, Cell]] = {d: {} for d in table.local_mapping}
     for expected in table.groups:
         got = fetched.get(expected.index)
         if got is None:
             raise MissingGroup(f"group {expected.index} not supplied")
         for d, cells in zip(got.digests, got.rows):
-            if d not in table.local_mapping:
-                raise UnknownDigest(f"digest {d.hex()} has no local identity")
             slot = per_digest.get(d)
             if slot is None:
-                raise UnknownDigest(f"digest {d.hex()} not part of this table")
+                raise UnknownDigest(f"digest {d.hex()} has no local identity")
             for c, v in zip(got.columns, cells):
                 slot[c] = v
 
     out: list[Record] = []
-    for d in table.digests:
-        ident = table.local_mapping[d]
+    for d, ident in table.local_mapping.items():
         cells = per_digest[d]
         record: Record = {}
         for c in table.column_order:

@@ -264,7 +264,7 @@ def _cmd_anonymize(settings: Settings, args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out_dir)
     stem = "table" if args.path == "-" else Path(args.path).stem
-    print(f"rows={len(table.digests)}")
+    print(f"rows={len(table.local_mapping)}")
     print(f"groups={len(table.groups)}")
     for g in table.groups:
         path = out_dir / f"{stem}.g{g.index}"
@@ -272,17 +272,7 @@ def _cmd_anonymize(settings: Settings, args: argparse.Namespace) -> int:
         print(f"group.{g.index}={path}")
     mapping_path = out_dir / f"{stem}.mapping.json"
     mapping_path.write_text(
-        json.dumps(
-            {
-                "id_columns": list(table.id_columns),
-                "column_order": list(table.column_order),
-                "mapping": {
-                    d.hex(): list(cells) for d, cells in table.local_mapping.items()
-                },
-            },
-            sort_keys=True,
-            indent=1,
-        )
+        json.dumps(anonymize.local_record(table), sort_keys=True, indent=1)
     )
     print(f"mapping={mapping_path}")
     return 0

@@ -10,10 +10,6 @@ it. Key generation is deterministic under a seeded generator so tests and
 the dispatcher can replay byte-identical state. Moduli far below 2048 bits
 keep the exhaustive tests fast but are toy material and must never protect
 real data.
-
-Negative plaintexts ride on the usual wraparound encoding centered at n // 2:
-values in (-n/2, n/2] map to v mod n, and anything decrypted above the center
-is read back as negative.
 """
 
 from __future__ import annotations
@@ -94,11 +90,6 @@ class PublicKey:
     def fingerprint(self) -> str:
         raw = self.n.to_bytes((self.n.bit_length() + 7) // 8, "big")
         return hashlib.blake2b(raw, digest_size=16).hexdigest()
-
-    @property
-    def signed_max(self) -> int:
-        """Largest encodable signed value; the center of the wraparound."""
-        return self.n // 2
 
 
 @dataclass(frozen=True)
@@ -205,20 +196,6 @@ def he_scale(c: Ciphertext, scalar: int) -> Ciphertext:
     """Ciphertext of scalar * plaintext (mod n); the scalar stays plain."""
     nsq = c.public.nsquare
     return Ciphertext(value=pow(c.value, scalar % c.public.n, nsq), public=c.public)
-
-
-def encode_signed(key: PublicKey, value: int) -> int:
-    """Map a signed value into the plaintext space (wraparound at n // 2)."""
-    if not -key.signed_max < value <= key.signed_max:
-        raise ValueError(f"{value} outside the signed range of this key")
-    return value % key.n
-
-
-def decode_signed(key: PublicKey, plaintext: int) -> int:
-    """Inverse of ``encode_signed`` on decrypted values."""
-    if not 0 <= plaintext < key.n:
-        raise ValueError("plaintext outside [0, n)")
-    return plaintext if plaintext <= key.signed_max else plaintext - key.n
 
 
 CIPHERTEXT_MAGIC = b"CHE1"

@@ -360,7 +360,8 @@ class ManifestStore(_IndexedLog):
 class KeyStore(_IndexedLog):
     """Secret material over the same container format, in its own file,
     indexed by key id. A record is ``{"key_id", "data"}``: for ``anon:<id>``
-    a table's salt and digest mapping, for ``hekey:<id>`` the private primes,
+    a table's ``anonymize.local_record`` (earlier releases wrote a salt and a
+    type-tagged digest mapping), for ``hekey:<id>`` the private primes,
     for ``itok:<id>`` the token tables and their master key (written once,
     at put), for ``iround:<id>`` the object's count of spent audit rounds
     (one small record per audit). Earlier releases also wrote ``kind`` and

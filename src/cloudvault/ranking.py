@@ -15,6 +15,7 @@ product.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -47,6 +48,8 @@ class Weights:
         if any(v < 0 for v in vals):
             raise ValueError("weights must be nonnegative")
         total = sum(vals)
+        if not math.isfinite(total):
+            raise ValueError(f"weights must be finite numbers with a finite sum, got {vals}")
         if total == 0:
             raise ValueError("at least one weight must be positive")
         object.__setattr__(self, "time", self.time / total)

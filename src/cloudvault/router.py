@@ -443,19 +443,7 @@ class Router:
         ]
 
         anonymize_ref = f"anon:{obj.object_id}"
-        self.keystore.put(
-            anonymize_ref,
-            {
-                "salt": salt.hex(),
-                "id_columns": list(table.id_columns),
-                "column_order": list(table.column_order),
-                "digests": [d.hex() for d in table.digests],
-                "mapping": {
-                    d.hex(): [["i" if isinstance(v, int) else "s", str(v)] for v in ident]
-                    for d, ident in table.local_mapping.items()
-                },
-            },
-        )
+        self.keystore.put(anonymize_ref, anonymize.local_record(table))
         details = {
             "groups": locations,
             "group_columns": [list(g.columns) for g in table.groups],
@@ -588,26 +576,7 @@ class Router:
             loc["group"]: _parse_group(details, loc, self._fetch_or_fail(loc))
             for loc in details["groups"]
         }
-
-        mapping = {
-            bytes.fromhex(d): tuple(int(v) if kind == "i" else v for kind, v in ident)
-            for d, ident in key_data["mapping"].items()
-        }
-        table = anonymize.AnonymizedTable(
-            digests=tuple(bytes.fromhex(d) for d in key_data["digests"]),
-            groups=tuple(
-                anonymize.GroupData(
-                    index=loc["group"],
-                    columns=tuple(details["group_columns"][loc["group"]]),
-                    digests=(),
-                    rows=(),
-                )
-                for loc in details["groups"]
-            ),
-            id_columns=tuple(key_data["id_columns"]),
-            column_order=tuple(key_data["column_order"]),
-            local_mapping=mapping,
-        )
+        table = anonymize.from_local_record(key_data, fetched)
         try:
             rows = anonymize.rejoin(table, fetched)
         except (KeyError, anonymize.AnonymizeError) as e:

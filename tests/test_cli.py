@@ -193,43 +193,56 @@ def test_anonymize_writes_groups_and_local_mapping(tmp_path, capsys):
     rows = [
         {"name": "ann", "age": 34, "city": "kyiv", "plan": "gold"},
         {"name": "bob", "age": 41, "city": "lviv", "plan": "base"},
+        {"name": "cyd", "age": 29, "city": "odesa", "plan": "base"},
+        {"name": "dee", "age": 52, "city": "rivne", "plan": "gold"},
     ]
+    by_name = {r["name"]: r for r in rows}
     src = tmp_path / "table.json"
     src.write_text(json.dumps(rows))
 
-    rc = main(
-        [
-            *_paths(tmp_path),
-            "anonymize",
-            str(src),
-            "--id-columns",
-            "name",
-            "--groups",
-            "2",
-            "--out-dir",
-            str(tmp_path),
-        ]
-    )
-    assert rc == 0
-    kv = _kv(capsys.readouterr().out)
-    assert kv["rows"] == "2"
-    assert kv["groups"] == "2"
+    for shuffle in (False, True):
+        out_dir = tmp_path / f"shuffle-{shuffle}"
+        out_dir.mkdir()
+        rc = main(
+            [
+                *_paths(tmp_path),
+                "anonymize",
+                str(src),
+                "--id-columns",
+                "name",
+                "--groups",
+                "2",
+                "--out-dir",
+                str(out_dir),
+                *(["--shuffle"] if shuffle else []),
+            ]
+        )
+        assert rc == 0
+        kv = _kv(capsys.readouterr().out)
+        assert kv["rows"] == "4"
+        assert kv["groups"] == "2"
 
-    seen_cols = []
-    for i in range(2):
-        blob = (tmp_path / f"table.g{i}").read_bytes()
-        assert b"ann" not in blob and b"bob" not in blob
-        group = parse_group(blob)
-        seen_cols.extend(group.columns)
-        assert len(group.rows) == 2
-    assert sorted(seen_cols) == ["age", "city", "plan"]
+        mapping = json.loads((out_dir / "table.mapping.json").read_text())
+        assert set(mapping) == {"id_columns", "column_order", "rows"}
+        assert mapping["id_columns"] == ["name"]
+        assert mapping["column_order"] == ["name", "age", "city", "plan"]
+        # The mapping keeps the input row order, shuffled groups or not.
+        assert [r[1:] for r in mapping["rows"]] == [[name] for name in by_name]
+        digest_of = {bytes.fromhex(r[0]): r[1] for r in mapping["rows"]}
 
-    mapping = json.loads((tmp_path / "table.mapping.json").read_text())
-    assert mapping["id_columns"] == ["name"]
-    assert sorted(tuple(v) for v in mapping["mapping"].values()) == [
-        ("ann",),
-        ("bob",),
-    ]
+        seen_cols, orders = [], []
+        for i in range(2):
+            blob = (out_dir / f"table.g{i}").read_bytes()
+            assert not any(name.encode() in blob for name in by_name)
+            group = parse_group(blob)
+            seen_cols.extend(group.columns)
+            # Each group row carries the cells of the row its digest names.
+            for d, cells in zip(group.digests, group.rows):
+                assert cells == tuple(by_name[digest_of[d]][c] for c in group.columns)
+            orders.append([digest_of[d] for d in group.digests])
+        assert sorted(seen_cols) == ["age", "city", "plan"]
+        assert all(sorted(order) == list(by_name) for order in orders)
+        assert any(order != list(by_name) for order in orders) == shuffle
 
 
 def test_table_round_trip_through_the_dispatcher(tmp_path, capsys):
@@ -426,6 +439,9 @@ def test_usage_errors_exit_two(tmp_path):
     assert err.value.code == 2
 
 
+_LONG_COLUMN_TABLE = json.dumps([{"name": "ann", "é" * 32768: 1}])
+
+
 @pytest.mark.parametrize(
     "command, text",
     [
@@ -433,6 +449,9 @@ def test_usage_errors_exit_two(tmp_path):
         ("put", "[1,2]"),
         ("put", '{"a":1}'),
         ("anonymize", "[1,2]"),
+        # A group's wire form holds column names of at most 65,535 UTF-8 bytes.
+        pytest.param("put", _LONG_COLUMN_TABLE, id="put-long-column-name"),
+        pytest.param("anonymize", _LONG_COLUMN_TABLE, id="anonymize-long-column-name"),
     ],
 )
 def test_malformed_table_exits_one(tmp_path, capsys, command, text):
@@ -443,7 +462,11 @@ def test_malformed_table_exits_one(tmp_path, capsys, command, text):
         "anonymize": ["anonymize", str(src), "--id-columns", "name", "--out-dir", str(tmp_path)],
     }[command]
     assert main([*_paths(tmp_path), *args]) == 1
-    assert _kv(capsys.readouterr().err)["error"] == "ValueError"
+    captured = capsys.readouterr()
+    assert _kv(captured.err)["error"] == "ValueError"
+    assert "Traceback" not in captured.out + captured.err
+    assert not list(tmp_path.glob("*.g*"))
+    assert not (tmp_path / "state" / "simcloud.pack").exists()
 
 
 def test_missing_payload_file_exits_one(tmp_path, capsys):
@@ -557,6 +580,10 @@ _LEGACY_BLOB_WITHOUT_DATA = json.dumps({
                      "ConfigError", id="config-negative-raw-metric"),
         pytest.param("config", "providers = a\nprovider.a.nodes = n0:-1\n", "ConfigError",
                      id="config-negative-depth"),
+        pytest.param("config", "weights = nan, 1, 1, 1\n", "ConfigError",
+                     id="config-weights-nan"),
+        pytest.param("config", "weights = inf, 1, 1, 1\n", "ConfigError",
+                     id="config-weights-inf"),
         pytest.param("config", "block = 0\n", "ConfigError", id="config-block-zero"),
         pytest.param("config", "block = -4\n", "ConfigError", id="config-block-negative"),
         pytest.param("config", "providers = a, b\nshare_count = 300\n", "PlacementError",

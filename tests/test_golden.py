@@ -10,11 +10,13 @@ homomorphic, and tables at every level.
 
 The compatibility tests read stores written by an earlier release, whose
 token tables carry a ``"field": "00"`` key and mark spent rounds inside
-themselves, and whose records carry fields no read uses, through the CLI,
+themselves, whose table records keep a salt, a digest list and type-tagged
+identifiers, and whose records carry fields no read uses, through the CLI,
 and add new records beside them.
 """
 
 import hashlib
+import json
 import random
 import shutil
 from pathlib import Path
@@ -127,7 +129,7 @@ _PIPELINE_PROVIDER_DIGESTS = {
     "gamma": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
 }
 _PIPELINE_MANIFEST_DIGEST = "2fec861f3011271fd943e4c7a06585b7902cba3c47a1bf5f278629b42e3e92e5"
-_PIPELINE_KEYSTORE_DIGEST = "869d445441c038712e946e33b12b467c284d14a27f8a8598b0cd960b1ef8dd44"
+_PIPELINE_KEYSTORE_DIGEST = "80cb143d0742c9f11e55d74202cb4d0854591879fb1b4e23d84bae2254374a77"
 
 
 def test_golden_bytes_of_every_other_pipeline(tmp_path):
@@ -278,3 +280,54 @@ def test_new_records_join_a_store_from_an_earlier_release(tmp_path, capsys):
     ]
     assert all(set(r) == {"key_id", "data"} for r in new)
     assert set(new[1]["data"]) == {"p", "q"}
+
+
+_COMPAT_TABLE = Path(__file__).parent / "data" / "compat-table"
+
+# Identifier cells mix ints, a bigint and digit-only strings, so only the
+# stored types tell 1001 from "1001".
+_COMPAT_TABLE_ROWS = [
+    {"mrn": 1001, "code": "0042", "dose": 5, "site": "north"},
+    {"mrn": "1001", "code": "42", "dose": 15, "site": "south"},
+    {"mrn": -7, "code": "-0", "dose": 25, "site": "north"},
+    {"mrn": 2**64 + 3, "code": "", "dose": -35, "site": "öst"},
+    {"mrn": "000", "code": "7", "dose": 45, "site": "south"},
+]
+
+
+def test_table_from_an_earlier_release_gets_audits_and_takes_new_tables(tmp_path, capsys):
+    # Written by the CLI of the earlier release with the default config:
+    # `put t.json --table --id-columns mrn,code --level secret --object-id
+    # table`, where t.json holds _COMPAT_TABLE_ROWS.
+    root = tmp_path / "compat-table"
+    shutil.copytree(_COMPAT_TABLE, root)
+    with KeyStore(root / "keystore.cmf") as ks:
+        assert set(ks.get("anon:table")) == {
+            "salt", "id_columns", "column_order", "digests", "mapping",
+        }
+    paths = [
+        "--manifest", str(root / "manifest.cmf"),
+        "--keystore", str(root / "keystore.cmf"),
+        "--state-dir", str(root / "state"),
+    ]
+
+    def gets_and_audits(oid, rows):
+        out = tmp_path / f"{oid}.out"
+        assert main([*paths, "get", oid, "--out", str(out)]) == 0
+        assert out.read_bytes() == json.dumps(rows, sort_keys=True, indent=1).encode("utf-8")
+        capsys.readouterr()
+        assert main([*paths, "audit", oid]) == 0
+        assert "intact=true" in capsys.readouterr().out.splitlines()
+
+    gets_and_audits("table", _COMPAT_TABLE_ROWS)
+    fresh = list(reversed(_COMPAT_TABLE_ROWS))
+    src = tmp_path / "fresh.json"
+    src.write_text(json.dumps(fresh))
+    assert main([*paths, "put", str(src), "--table", "--id-columns", "mrn,code",
+                 "--level", "secret", "--object-id", "fresh"]) == 0
+    gets_and_audits("table", _COMPAT_TABLE_ROWS)
+    gets_and_audits("fresh", fresh)
+    with KeyStore(root / "keystore.cmf") as ks:
+        record = ks.get("anon:fresh")
+    assert set(record) == {"id_columns", "column_order", "rows"}
+    assert [row[1:] for row in record["rows"]] == [[r["mrn"], r["code"]] for r in fresh]

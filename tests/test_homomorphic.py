@@ -7,10 +7,8 @@ from cloudvault.homomorphic import (
     KeyMismatch,
     KeyPair,
     PublicKey,
-    decode_signed,
     decrypt,
     decrypt_bytes,
-    encode_signed,
     encrypt,
     encrypt_bytes,
     he_add,
@@ -81,21 +79,6 @@ def test_fresh_randomness_changes_ciphertext_not_plaintext():
     c2 = encrypt(kp.public, 7, rng)
     assert c1.value != c2.value
     assert decrypt(kp, c1) == decrypt(kp, c2) == 7
-
-
-def test_signed_wraparound():
-    kp = keygen(128, random.Random(62))
-    n = kp.public.n
-    rng = random.Random(63)
-    for v in (-5, -1, 0, 1, 12345, -(10**9)):
-        ct = encrypt(kp.public, encode_signed(kp.public, v), rng)
-        assert decode_signed(kp.public, decrypt(kp, ct)) == v
-    # subtraction below zero decodes negative
-    c1 = encrypt(kp.public, encode_signed(kp.public, 3), rng)
-    c2 = encrypt(kp.public, encode_signed(kp.public, 8), rng)
-    assert decode_signed(kp.public, decrypt(kp, he_sub(c1, c2))) == -5
-    with pytest.raises(ValueError):
-        encode_signed(kp.public, n)  # beyond the signed half-range
 
 
 def test_key_mismatch_refused():

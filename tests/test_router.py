@@ -1,8 +1,11 @@
 import itertools
 import random
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cloudvault import homomorphic
 from cloudvault.config import default_settings
@@ -616,3 +619,47 @@ def test_table_of_identifiers_only_refused(tmp_path):
                  id_columns=("a", "b"))
         )
     assert not router.manifest.log.records()
+
+
+# Cells the local record must keep type-exact: digit-only and signed-zero
+# strings beside ints, empty and non-ASCII text, ints past 64 bits.
+_CELLS = st.one_of(
+    st.text(max_size=6),
+    st.from_regex(r"-?[0-9]{1,5}", fullmatch=True),
+    st.sampled_from(["", "-0", "0", "007", "ü", "日本"]),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.integers(min_value=2**63, max_value=2**80),
+)
+
+
+@st.composite
+def _tables(draw):
+    id_columns = tuple(f"id{i}" for i in range(draw(st.integers(1, 3))))
+    columns = (*id_columns, *(f"c{i}" for i in range(draw(st.integers(1, 2)))))
+    rows = draw(
+        st.lists(
+            st.lists(_CELLS, min_size=len(columns), max_size=len(columns)),
+            min_size=1,
+            max_size=6,
+            unique_by=lambda cells: tuple(cells[: len(id_columns)]),
+        )
+    )
+    return [dict(zip(columns, cells)) for cells in rows], id_columns
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(_tables())
+def test_secret_tables_read_back_type_exact_after_the_stores_reopen(table):
+    rows, id_columns = table
+    with tempfile.TemporaryDirectory() as tmp:
+        first = _router(Path(tmp))
+        first.put(_obj("t", rows, SecretLevel.SECRET, OperationClass.NO_OPERATIONS,
+                       id_columns=id_columns))
+        router = _reopen(first, Path(tmp))
+        # repr tells 1 from "1" and keeps row and column order.
+        assert repr(router.get("t")) == repr(rows)
+        record = router.keystore.get("anon:t")
+        assert set(record) == {"id_columns", "column_order", "rows"}
+        router.close()
+        stored = (Path(tmp) / "k.cmf").read_bytes()
+        assert all(stored.count(row[0].encode()) == 1 for row in record["rows"])
