@@ -26,7 +26,7 @@ import itertools
 import json
 import math
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Mapping
 
 from . import anonymize, entropy_split, homomorphic, integrity, shamir, simcloud
@@ -676,10 +676,16 @@ class Router:
         entries = []
         for slot, slot_info in enumerate(details["slots"]):
             table = tables[slot]
+            # A round's rows and coefficients do not depend on the column, so
+            # each round is derived once and readdressed to every column.
+            round_msgs = [
+                integrity.challenge(table, round_index, 0)
+                for round_index in range(spent, spent + rounds)
+            ]
             for column, loc in enumerate(slot_info["shares"]):
-                for round_index in range(spent, spent + rounds):
-                    msg = integrity.challenge(table, round_index, column)
-                    wire = integrity.serialize_challenge(msg)
+                for msg in round_msgs:
+                    round_index = msg.round_index
+                    wire = integrity.serialize_challenge(replace(msg, column=column))
                     try:
                         reply = self.cloud.provider(loc["provider"]).respond_challenge(
                             loc["node"],

@@ -334,6 +334,48 @@ def test_audit_beyond_the_round_budget_sends_nothing(tmp_path, monkeypatch):
     assert sorted({e.round_index for e in report.entries}) == list(range(10, 16))
 
 
+def test_an_audit_derives_each_slot_round_once_and_sends_each_column_its_challenge(
+    tmp_path, monkeypatch
+):
+    from cloudvault import integrity
+
+    router = _router(tmp_path)
+    payload = random.Random(7).randbytes(3 * 4096)
+    rec = router.put(_obj("o", payload, SecretLevel.SECRET, OperationClass.NO_OPERATIONS))
+    slots = rec.details["slots"]
+    assert len(slots) > 1
+    stored = router.keystore.get(rec.details["integrity_ref"])["tables"]
+    tables = [integrity.token_table_from_payload(p) for p in stored]
+    derive, respond = integrity.derive_challenge, SimProvider.respond_challenge
+    derived, sent = [], []
+
+    def counting(*args):
+        derived.append(args)
+        return derive(*args)
+
+    def recording(self, node, blob_id, message, credential=""):
+        sent.append((blob_id, message))
+        return respond(self, node, blob_id, message, credential=credential)
+
+    monkeypatch.setattr(integrity, "derive_challenge", counting)
+    monkeypatch.setattr(SimProvider, "respond_challenge", recording)
+    report = router.audit("o", rounds=3)
+    assert report.intact
+    assert len(derived) == len(slots) * 3
+    monkeypatch.undo()
+    # Each column's wire bytes are exactly its own per-column challenge.
+    assert sent == [
+        (
+            slots[e.slot]["shares"][e.column]["blob_id"],
+            integrity.serialize_challenge(
+                integrity.challenge(tables[e.slot], e.round_index, e.column)
+            ),
+        )
+        for e in report.entries
+    ]
+    assert len(sent) == sum(len(s["shares"]) for s in slots) * 3
+
+
 @pytest.mark.parametrize("rounds", [0, -3])
 def test_audit_refuses_fewer_than_one_round(tmp_path, rounds):
     router = _router(tmp_path)
