@@ -25,7 +25,9 @@ Record = dict[str, Cell]
 
 GROUP_MAGIC = b"CAN1"
 DEFAULT_DIGEST_SIZE = 16
-_MAX_COLUMN_NAME_BYTES = 0xFFFF  # u16 length prefix in the group wire form
+# The group wire form packs the group index, the column count and each
+# column name's length as u16.
+_U16_MAX = 0xFFFF
 
 
 class AnonymizeError(Exception):
@@ -130,8 +132,9 @@ def anonymize_table(
 
     Raises:
         ValueError: no rows, no identifier columns, a column missing from a
-            row, a non-partition grouping, a bad cell type, or a grouped
-            column name longer than the wire form holds.
+            row, a non-partition grouping, a bad cell type, or more groups,
+            more columns in one group or a longer grouped column name than
+            the wire form holds.
         DuplicateIdentifier: repeated identifier tuple.
         DigestCollision: distinct tuples, same digest.
     """
@@ -158,12 +161,19 @@ def anonymize_table(
             "groups must partition the non-identifier columns exactly; "
             f"got {claimed!r}, need {payload_cols!r}"
         )
+    if len(groups) > _U16_MAX + 1:
+        raise ValueError(f"{len(groups)} groups; a table holds at most {_U16_MAX + 1}")
+    for i, g in enumerate(groups):
+        if len(g) > _U16_MAX:
+            raise ValueError(
+                f"group {i} has {len(g)} columns; a group holds at most {_U16_MAX}"
+            )
     for c in payload_cols:
         size = len(c.encode("utf-8"))
-        if size > _MAX_COLUMN_NAME_BYTES:
+        if size > _U16_MAX:
             raise ValueError(
                 f"column {c[:32]!r}... is {size} UTF-8 bytes; "
-                f"a group holds names of at most {_MAX_COLUMN_NAME_BYTES}"
+                f"a group holds names of at most {_U16_MAX}"
             )
 
     mapping: dict[bytes, tuple[Cell, ...]] = {}

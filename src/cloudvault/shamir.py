@@ -4,8 +4,8 @@ Every secret byte D becomes the constant term of its own random polynomial
 
     q(x) = D + a_1 x + ... + a_{threshold-1} x^(threshold-1)
 
-with the remaining coefficients drawn fresh from the supplied generator.
-Share i carries q(i) for each byte position, evaluated at x = 1..n. Any
+with the remaining coefficients drawn fresh from the supplied generator, all
+of a split's coefficients in one ``randbytes`` call. Share i carries q(i) for each byte position, evaluated at x = 1..n. Any
 ``threshold`` shares recover the secret exactly by Lagrange interpolation at
 x = 0; one share fewer is consistent with every candidate secret equally
 often and therefore says nothing about it.
@@ -82,15 +82,17 @@ def split(
 ) -> list[Share]:
     """Split ``secret`` into ``scheme.share_count`` shares.
 
-    Coefficients are drawn byte-major: all of byte 0's coefficients, then
-    byte 1's, and so on. The same seeded generator therefore reproduces an
-    identical sharing, which the dispatcher relies on for deterministic
-    replay under a fixed seed.
+    All ``len(secret) * (threshold - 1)`` coefficients come from one
+    ``rng.randbytes`` call, laid out byte-major: all of byte 0's
+    coefficients, lowest degree first, then byte 1's, and so on. The same
+    seeded generator therefore reproduces an identical sharing, which the
+    dispatcher relies on for deterministic replay under a fixed seed, and a
+    caller pins the coefficients by supplying those bytes.
 
     Args:
         secret: nonempty byte string.
         scheme: sharing parameters.
-        rng: source of coefficient randomness.
+        rng: source of coefficient randomness; only ``randbytes`` is called.
         object_id: opaque identifier stamped into each share so shares of
             different objects refuse to combine.
 
@@ -100,9 +102,7 @@ def split(
     if not secret:
         raise ValueError("cannot split an empty secret")
     degree = scheme.threshold - 1
-    # One randrange call per coefficient keeps the draw order, and lets a
-    # caller pin coefficients by overriding randrange alone.
-    coeffs = bytes([rng.randrange(256) for _ in range(len(secret) * degree)])
+    coeffs = rng.randbytes(len(secret) * degree)
     # terms[j] holds the x^j coefficient of every byte's polynomial.
     terms = [secret, *(coeffs[j::degree] for j in range(degree))]
     shares = []

@@ -99,8 +99,8 @@ def test_02_single_share_is_consistent_with_every_secret_exactly_once():
             super().__init__()
             self._value = value
 
-        def randrange(self, *args, **kwargs):
-            return self._value
+        def randbytes(self, n):
+            return bytes([self._value]) * n
 
     secrets = bytes(range(256))  # byte s of the secret is the candidate s
     seen = set()

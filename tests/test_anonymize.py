@@ -128,6 +128,19 @@ def test_group_wire_round_trip():
         assert parse_group(serialize_group(g)) == g
 
 
+def test_groups_hold_no_more_than_the_wire_form_counts():
+    """The group index and a group's column count are u16 on the wire, so
+    anonymize refuses what serialize_group could not write."""
+    cols = [f"c{i}" for i in range(0x10001)]
+    rows = [{"id": "a", **dict.fromkeys(cols, 0)}]
+    table = anonymize_table(rows, ("id",), [cols[:0xFFFF], cols[0xFFFF:]], salt=b"u" * 16)
+    assert list(parse_group(serialize_group(table.groups[0])).columns) == cols[:0xFFFF]
+    with pytest.raises(ValueError, match="group 0 has 65536 columns"):
+        anonymize_table(rows, ("id",), [cols[:0x10000], cols[0x10000:]], salt=b"u" * 16)
+    with pytest.raises(ValueError, match="65537 groups"):
+        anonymize_table(rows, ("id",), [[c] for c in cols], salt=b"u" * 16)
+
+
 def test_bool_cells_rejected():
     rows = [{"id": "a", "flag": True}]
     with pytest.raises(ValueError):

@@ -469,6 +469,20 @@ def test_malformed_table_exits_one(tmp_path, capsys, command, text):
     assert not (tmp_path / "state" / "simcloud.pack").exists()
 
 
+def test_anonymize_refuses_more_columns_in_one_group_than_the_wire_form_counts(
+    tmp_path, capsys
+):
+    src = tmp_path / "wide.json"
+    src.write_text(json.dumps([{"name": "ann", **{f"c{i}": i for i in range(0x10000)}}]))
+    args = ["anonymize", str(src), "--id-columns", "name", "--groups", "1"]
+    assert main([*_paths(tmp_path), *args, "--out-dir", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert _kv(captured.err)["error"] == "ValueError"
+    assert "Traceback" not in captured.out + captured.err
+    assert not list(tmp_path.glob("wide.g*"))
+    assert not (tmp_path / "wide.mapping.json").exists()
+
+
 def test_missing_payload_file_exits_one(tmp_path, capsys):
     rc = main([*_paths(tmp_path), "put", str(tmp_path / "nope.bin"), "--level", "secret"])
     assert rc == 1

@@ -31,15 +31,15 @@ from cloudvault.router import DataObject, DispersalPolicy, OperationClass, Route
 _SIZES = (1, 100, 4096, 22000, 70000)
 
 _PROVIDER_DIGESTS = {
-    "alpha": "3253f9cdfb2d8e7f289b8b9dcd1384d45a98ce891a0f30c9a2e477972fcffb45",
-    "beta": "120963687c8534a3c5019ebec46c6702368bdfa07697c4775b5baf82724633a9",
-    "delta": "ec79cb6821ee918d7279e85fbb8994aef7b9bb7c294866bc3c7d382abe9e7b04",
-    "epsilon": "541cab0275d22861101c481f325947ac908366f44f306129b2dcfac5b48f61ff",
-    "gamma": "84a3d5657d0ecbb0f492919214d6b2713bb2f8dd2d83ef47c73fce7bf49cf08c",
+    "alpha": "4302ed6f0385af666a5cd50048fe9f565a252b387526a303a0cae138db55ed8f",
+    "beta": "b09533804e1aeff8582fd6e5727c979eb51e5d3996662d992acfb1e4b5bd9289",
+    "delta": "a95feb769811f4420112e8fe73550783bca9c6cc1e0bdc4b1384ad5785cc649f",
+    "epsilon": "d12cb5c8f6b6494918428e6d7e7a3451968ef7e3fbdde34fad2024c734f3078f",
+    "gamma": "64cff5f8cf8784c23fa8ecb52fcf2ed66a6f358296ff0e194c453b8086ce754f",
 }
-_MANIFEST_DIGEST = "cb656d4c47351ba156e99fda82a37f73a05482181fdf1b6df3c89df8dc426ecf"
-_CHALLENGE_DIGEST = "57ff3495a46b0cfb552196ad402de32c70d2277ca5bcdda9b4b831fad60301f6"
-_TOKEN_STATE_DIGEST = "a254d20e9b812eb9130932c6026ee27f859683d89d304d13095c8a3d76281d09"
+_MANIFEST_DIGEST = "52ce08627d9e64ff33efec8155ca64b6afe83b34b5e470cdd89c7f1e18a05d54"
+_CHALLENGE_DIGEST = "9e5fd9f50313b31d6e994fdbb2f387ebaf2f6eccb36163011264d59d3190ca0a"
+_TOKEN_STATE_DIGEST = "7860283941ed32422042de73374c97e9bee5b4155c5ee1f5aed66c65791ad15f"
 
 
 def _framed(parts) -> str:

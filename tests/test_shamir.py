@@ -33,10 +33,28 @@ class _FixedCoefficients:
     """Stands in for random.Random when the polynomial must be pinned."""
 
     def __init__(self, values):
-        self._values = list(values)
+        self._values = bytes(values)
 
-    def randrange(self, _bound):
-        return self._values.pop(0)
+    def randbytes(self, n):
+        assert n <= len(self._values)
+        out, self._values = self._values[:n], self._values[n:]
+        return out
+
+
+class _RecordingRandom(random.Random):
+    """A seeded generator that logs each draw a split makes."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.calls = []
+
+    def randbytes(self, n):
+        self.calls.append(("randbytes", n))
+        return super().randbytes(n)
+
+    def randrange(self, *args, **kwargs):
+        self.calls.append(("randrange", args))
+        return super().randrange(*args, **kwargs)
 
 
 def test_known_linear_polynomial_over_gf256():
@@ -128,12 +146,13 @@ def test_reconstruct_uses_any_k_not_just_first_n():
 
 def test_split_matches_scalar_horner():
     """Shares equal per-byte Horner evaluation with a bitwise multiply,
-    drawing the coefficients byte-major from the same generator."""
+    with the coefficients read byte-major from one randbytes draw of the
+    same generator."""
     secret = random.Random(18).randbytes(200)
     scheme = ShareScheme(threshold=3, share_count=5)
     shares = split(secret, scheme, random.Random(19))
-    replay = random.Random(19)
-    polys = [[b, replay.randrange(256), replay.randrange(256)] for b in secret]
+    coeffs = random.Random(19).randbytes(2 * len(secret))
+    polys = [[b, coeffs[2 * i], coeffs[2 * i + 1]] for i, b in enumerate(secret)]
     for share in shares:
         want = []
         for coeffs in polys:
@@ -143,3 +162,11 @@ def test_split_matches_scalar_horner():
             want.append(acc)
         assert share.payload == bytes(want)
     assert reconstruct(shares[2:]) == secret
+
+
+@pytest.mark.parametrize("threshold", [1, 2, 3, 5])
+def test_split_draws_every_coefficient_in_one_call(threshold):
+    secret = random.Random(20).randbytes(300)
+    rng = _RecordingRandom(21)
+    split(secret, ShareScheme(threshold, 5), rng)
+    assert rng.calls == [("randbytes", len(secret) * (threshold - 1))]
