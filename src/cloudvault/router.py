@@ -684,7 +684,6 @@ class Router:
             ]
             for column, loc in enumerate(slot_info["shares"]):
                 for msg in round_msgs:
-                    round_index = msg.round_index
                     wire = integrity.serialize_challenge(replace(msg, column=column))
                     try:
                         reply = self.cloud.provider(loc["provider"]).respond_challenge(
@@ -697,7 +696,7 @@ class Router:
                         verdict = "unreachable"
                     else:
                         value = integrity.parse_response(reply)
-                        result = integrity.verify(table, round_index, column, value)
+                        result = integrity.verify(table, msg.round_index, column, value)
                         verdict = "intact" if result.intact else "corrupted"
                     entries.append(
                         AuditEntry(
@@ -705,7 +704,7 @@ class Router:
                             column=column,
                             provider=loc["provider"],
                             node=loc["node"],
-                            round_index=round_index,
+                            round_index=msg.round_index,
                             verdict=verdict,
                         )
                     )

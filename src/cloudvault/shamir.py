@@ -5,10 +5,11 @@ Every secret byte D becomes the constant term of its own random polynomial
     q(x) = D + a_1 x + ... + a_{threshold-1} x^(threshold-1)
 
 with the remaining coefficients drawn fresh from the supplied generator, all
-of a split's coefficients in one ``randbytes`` call. Share i carries q(i) for each byte position, evaluated at x = 1..n. Any
-``threshold`` shares recover the secret exactly by Lagrange interpolation at
-x = 0; one share fewer is consistent with every candidate secret equally
-often and therefore says nothing about it.
+of a split's coefficients in one ``randbytes`` call. Share i carries q(i)
+for each byte position, evaluated at x = 1..n. Any ``threshold`` shares
+recover the secret exactly by Lagrange interpolation at x = 0; one share
+fewer is consistent with every candidate secret equally often and therefore
+says nothing about it.
 
 A share's payload is bytes, one field element per secret byte, and is what
 a provider stores as is; the scheme, the evaluation point and the object id
