@@ -10,10 +10,18 @@ it. Key generation is deterministic under a seeded generator so tests and
 the dispatcher can replay byte-identical state. Moduli far below 2048 bits
 keep the exhaustive tests fast but are toy material and must never protect
 real data.
+
+Decryption works modulo p^2 and q^2 and joins the two halves by the Chinese
+remainder theorem (Paillier, Eurocrypt 1999, section 7): two
+exponentiations with half-size exponents and moduli in place of one by
+lambda modulo n^2. What it needs beyond the ciphertext (p^2, q^2, h_p, h_q
+and p^-1 mod q) is computed once per key pair and kept on it, as the
+public key keeps n^2 and its fingerprint.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import random
@@ -82,11 +90,11 @@ class PublicKey:
 
     n: int
 
-    @property
+    @functools.cached_property
     def nsquare(self) -> int:
         return self.n * self.n
 
-    @property
+    @functools.cached_property
     def fingerprint(self) -> str:
         raw = self.n.to_bytes((self.n.bit_length() + 7) // 8, "big")
         return hashlib.blake2b(raw, digest_size=16).hexdigest()
@@ -98,13 +106,16 @@ class KeyPair:
     p: int
     q: int
 
-    @property
-    def lam(self) -> int:
-        return (self.p - 1) * (self.q - 1)
-
-    @property
-    def mu(self) -> int:
-        return pow(self.lam, -1, self.public.n)
+    @functools.cached_property
+    def _crt(self) -> tuple[int, int, int, int, int]:
+        """(p^2, q^2, h_p, h_q, p^-1 mod q) for CRT decryption, where
+        h_p = L_p(g^(p-1) mod p^2)^-1 mod p with L_p(x) = (x - 1) / p, and
+        h_q likewise."""
+        p, q, g = self.p, self.q, self.public.n + 1
+        psq, qsq = p * p, q * q
+        hp = pow((pow(g, p - 1, psq) - 1) // p, -1, p)
+        hq = pow((pow(g, q - 1, qsq) - 1) // q, -1, q)
+        return psq, qsq, hp, hq, pow(p, -1, q)
 
 
 @dataclass(frozen=True)
@@ -161,16 +172,24 @@ def encrypt(key: PublicKey, plaintext: int, rng: random.Random) -> Ciphertext:
 
 
 def decrypt(keypair: KeyPair, c: Ciphertext) -> int:
-    """Recover the plaintext in [0, n).
+    """Recover the plaintext in [0, n): m_p = L_p(c^(p-1) mod p^2) * h_p
+    mod p, m_q likewise, joined by CRT.
 
     Raises:
         KeyMismatch: ciphertext was produced under a different key.
+        ValueError: the ciphertext shares a factor with n, which no
+            encryption makes.
     """
     if c.fingerprint != keypair.public.fingerprint:
         raise KeyMismatch("ciphertext is bound to a different key")
-    n = keypair.public.n
-    u = pow(c.value, keypair.lam, keypair.public.nsquare)
-    return ((u - 1) // n) * keypair.mu % n
+    p, q = keypair.p, keypair.q
+    psq, qsq, hp, hq, p_inv = keypair._crt
+    cp, cq = c.value % psq, c.value % qsq
+    if not (cp % p and cq % q):
+        raise ValueError("ciphertext shares a factor with the modulus")
+    mp = (pow(cp, p - 1, psq) - 1) // p * hp % p
+    mq = (pow(cq, q - 1, qsq) - 1) // q * hq % q
+    return mp + (mq - mp) * p_inv % q * p
 
 
 def _require_same_key(a: Ciphertext, b: Ciphertext) -> None:

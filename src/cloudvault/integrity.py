@@ -25,7 +25,8 @@ same steps independently):
 * stream block i for context label L = BLAKE2b-256(key=key, data=L || u64le(i)),
   blocks concatenated on demand;
 * uniform draws take u32le words from the stream, rejection-sampled to the
-  bound;
+  bound (a block is unpacked into its eight words at once, which gives the
+  same words in the same order);
 * the seed of audit round i is BLAKE2b-256(key=master_key,
   data=b"round-seed" || u64le(i)); the round's stream uses label
   b"challenge" under that seed and draws the distinct row indices first
@@ -45,6 +46,7 @@ may be challenged only once; which rounds are spent is the caller's record
 from __future__ import annotations
 
 import hashlib
+import itertools
 import struct
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -81,33 +83,30 @@ def _stream_key(key: bytes) -> bytes:
     return key if len(key) <= 64 else hashlib.blake2b(key).digest()
 
 
+_BLOCK_WORDS = struct.Struct("<8I")
+
+
+def _stream_words(key: bytes, label: bytes):
+    """The u32le words of the stream, each block unpacked whole."""
+    for counter in itertools.count():
+        block = hashlib.blake2b(
+            label + struct.pack("<Q", counter), key=key, digest_size=32
+        ).digest()
+        yield from _BLOCK_WORDS.unpack(block)
+
+
 class KeyedStream:
-    """Deterministic byte stream: BLAKE2b-256(key, label || u64le(counter))."""
+    """Deterministic stream of u32le words, blocks
+    BLAKE2b-256(key, label || u64le(counter))."""
 
     def __init__(self, key: bytes, label: bytes) -> None:
-        self._key = _stream_key(key)
-        self._label = label
-        self._counter = 0
-        self._buf = b""
-
-    def take(self, n: int) -> bytes:
-        while len(self._buf) < n:
-            block = hashlib.blake2b(
-                self._label + struct.pack("<Q", self._counter),
-                key=self._key,
-                digest_size=32,
-            ).digest()
-            self._counter += 1
-            self._buf += block
-        out, self._buf = self._buf[:n], self._buf[n:]
-        return out
+        self._words = _stream_words(_stream_key(key), label)
 
     def uniform(self, bound: int) -> int:
         if bound < 1:
             raise ValueError("bound must be positive")
         limit = (1 << 32) - ((1 << 32) % bound)
-        while True:
-            (v,) = struct.unpack("<I", self.take(4))
+        for v in self._words:
             if v < limit:
                 return v % bound
 

@@ -19,7 +19,10 @@ zeros) is an append a crash interrupted before its fsync, so it was never
 committed: open serves the complete prefix and cuts the torn bytes off the
 file, so later appends extend a clean file. A frame that runs past the end
 with a whole record after it is damage, not a tear, and fails the open
-like a bad checksum. Open decodes no record, though: a record is parsed
+like a bad checksum; so is a last frame that runs past the end although
+the bytes from its body to four bytes before the end checksum to the last
+four, a whole record under a damaged length (a tear matches by chance
+with probability 2^-32). Open decodes no record, though: a record is parsed
 when it is first read, so a frame whose checksum holds but whose body is
 not JSON raises CorruptStore at that read, not at open.
 
@@ -103,6 +106,18 @@ def _holds_a_record(data: bytes, start: int) -> bool:
     return False
 
 
+def _ends_in_a_record(data: bytes, off: int) -> bool:
+    """Whether the bytes after the length at ``off`` up to the last four
+    bytes of ``data`` are a JSON object that checksums to them: a whole last
+    record whose length alone is wrong."""
+    crc_at = len(data) - 4
+    return (
+        data[off + 4 : off + 5] == b"{"
+        and off + 4 < crc_at
+        and zlib.crc32(data[off + 4 : crc_at]) == _U32.unpack_from(data, crc_at)[0]
+    )
+
+
 class RecordLog:
     """The shared container: an append-only log of JSON records.
 
@@ -165,9 +180,9 @@ class RecordLog:
             frames.append((body, length))
             off = end + 4
         if off < size:
-            # The last append never finished, so it was never committed;
-            # but a whole record after it means an earlier length is damaged.
-            if _holds_a_record(data, off + 4):
+            # The last append never finished, so it was never committed; but
+            # a whole record after it, or in it, means a length is damaged.
+            if _holds_a_record(data, off + 4) or _ends_in_a_record(data, off):
                 raise CorruptStore(f"damaged record length at offset {off} in {self.path}")
             self.tail_torn = True
             self._fh.truncate(off)

@@ -598,8 +598,8 @@ class Router:
           the recorded digest).
         * Homomorphic: one fetch, for reachability only. No digest of the
           ciphertext is recorded, so checking the bytes would mean
-          decrypting the whole blob: one modular exponentiation per payload
-          byte, as much as a ``get`` costs.
+          decrypting the whole blob: two half-size modular exponentiations
+          per payload byte, as much as a ``get`` costs.
         * Table groups: one fetch each; a group must parse and carry the
           columns the manifest records for it. A group stores no digest of
           its own, so a damaged cell value is seen only by ``get``.

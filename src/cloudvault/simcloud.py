@@ -4,10 +4,9 @@ Each provider is a plain object exposing exactly what a remote blob service
 would: store, fetch, and a server-side audit computation that combines
 sampled rows of a stored blob so integrity checks never pull the blob back.
 Faults are values, not mutations: injecting one overlays the behavior
-(a node goes dark, a fetch returns flipped bytes), clearing it restores the
-original blob bit for bit. That keeps scenarios reversible and lets tests
-tear down cleanly. Faults live in memory only, for the process that
-injected them: a save never writes them and a load starts with none.
+(a node goes dark, a fetch returns flipped bytes) and never touches the
+stored bytes. Faults live in memory only, for the process that injected
+them: a save never writes them and a load starts with none.
 
 The insider view is first-class: ``insider_dump`` returns every blob a
 provider holds, in deterministic (node, blob id) order, which is what the
@@ -20,10 +19,14 @@ The fleet persists as ``simcloud.pack``, a sequence of frames. Each frame is
 the magic ``CVS1``, a 4-byte big-endian header length, a JSON header
 ``{providers: {pid: {nodes, credential, blobs: [[node, id, size]]}}}`` and
 then the blob bytes in header order. A full save writes one frame holding
-everything; a later save appends one frame holding only the blobs stored
-since. Load merges the frames in order: a later blob under the same
-(node, id) replaces the earlier one. Load ignores a ``faults`` key, which
-older packs and ``simcloud.json`` carry.
+everything; a later save appends one frame holding only the blobs that
+``store_blob`` recorded since the last load or save. Load reads only the
+frame headers and merges them in order, indexing each blob's offset and
+size: a later blob under the same (node, id) replaces the earlier one. A
+body is read from the pack the first time a fetch, a challenge, a dump or
+a compaction needs it, so a command reads the headers and its own blobs,
+not the fleet. Load ignores a ``faults`` key, which older packs and
+``simcloud.json`` carry.
 """
 
 from __future__ import annotations
@@ -96,19 +99,52 @@ _MAGIC = b"CVS1"
 
 
 @dataclass
-class _Packed:
-    """What the pack at ``path`` holds, as the cloud last read or wrote it:
-    its clean length, the JSON bytes of the first frame's header and of all
-    later ones together, live and superseded body bytes, and each
-    provider's blob objects."""
+class _Pack:
+    """The pack at ``path`` as the cloud last read or wrote it: the file's
+    (device, inode), its clean length, the JSON bytes of the first frame's
+    header and of all later ones together, and live and superseded body
+    bytes."""
 
     path: Path
+    identity: tuple[int, int]
     length: int
-    first_head: int
-    later_heads: int
-    live: int
-    dead: int
-    blobs: dict[str, dict[tuple[str, str], bytes]]
+    first_head: int = 0
+    later_heads: int = 0
+    live: int = 0
+    dead: int = 0
+
+    def read(self, offset: int, size: int) -> bytes:
+        """The ``size`` body bytes at ``offset``.
+
+        Raises:
+            SnapshotCorrupt: the pack is no longer this file, or is shorter
+                than the clean length.
+        """
+        try:
+            fd = os.open(self.path, os.O_RDONLY)
+        except FileNotFoundError:
+            raise SnapshotCorrupt(f"{self.path} is gone since it was loaded") from None
+        try:
+            st = os.fstat(fd)
+            if (st.st_dev, st.st_ino) != self.identity or st.st_size < self.length:
+                raise SnapshotCorrupt(f"{self.path} was replaced or cut since it was loaded")
+            return os.pread(fd, size, offset)
+        finally:
+            os.close(fd)
+
+
+class _Unread:
+    """A blob whose body is still in the pack: ``size`` bytes at ``offset``."""
+
+    __slots__ = ("pack", "offset", "size")
+
+    def __init__(self, pack: _Pack, offset: int, size: int) -> None:
+        self.pack = pack
+        self.offset = offset
+        self.size = size
+
+    def __len__(self) -> int:
+        return self.size
 
 
 @dataclass(frozen=True)
@@ -136,7 +172,10 @@ class SimProvider:
         self.provider_id = provider_id
         self.nodes = dict(nodes)
         self.credential = credential
-        self._blobs: dict[tuple[str, str], bytes] = {}
+        self._blobs: dict[tuple[str, str], bytes | _Unread] = {}
+        # Blobs stored since the last load or save, each with the size of
+        # the body the pack holds under its key (0 for none).
+        self._unsaved: dict[tuple[str, str], int] = {}
         self._faults: set[Fault] = set()
 
     def _auth(self, credential: str) -> None:
@@ -149,12 +188,18 @@ class SimProvider:
         if NodeUnavailable(self.provider_id, node) in self._faults:
             raise Unavailable(f"{self.provider_id}/{node} is down")
 
-    def _served(self, node: str, blob_id: str) -> bytes:
-        """The bytes this node would return right now, overlays applied."""
+    def _body(self, node: str, blob_id: str) -> bytes:
+        """The stored bytes, read from the pack on first use."""
         data = self._blobs.get((node, blob_id))
         if data is None:
             raise UnknownBlob(f"no blob {blob_id!r} on {self.provider_id}/{node}")
-        data = bytes(data)  # a loaded blob is a view into the pack's bytes
+        if isinstance(data, _Unread):
+            data = self._blobs[node, blob_id] = data.pack.read(data.offset, data.size)
+        return data
+
+    def _served(self, node: str, blob_id: str) -> bytes:
+        """The bytes this node would return right now, overlays applied."""
+        data = self._body(node, blob_id)
         for fault in self._faults:
             if (
                 isinstance(fault, CorruptBlob)
@@ -170,7 +215,10 @@ class SimProvider:
     def store_blob(self, node: str, blob_id: str, data: bytes, credential: str = "") -> None:
         self._auth(credential)
         self._check_node(node)
-        self._blobs[(node, blob_id)] = bytes(data)
+        key = (node, blob_id)
+        if key not in self._unsaved:
+            self._unsaved[key] = len(self._blobs.get(key, b""))
+        self._blobs[key] = bytes(data)
 
     def fetch_blob(self, node: str, blob_id: str, credential: str = "") -> bytes:
         self._auth(credential)
@@ -204,13 +252,6 @@ class SimProvider:
                 raise ValueError(f"offset {fault.offset} outside a {len(blob)}-byte blob")
         self._faults.add(fault)
 
-    def clear(self, fault: Fault) -> None:
-        """Deactivate a fault; the original stored bytes were never touched."""
-        self._faults.discard(fault)
-
-    def clear_all(self) -> None:
-        self._faults.clear()
-
     @property
     def compromised(self) -> bool:
         return any(isinstance(f, InsiderDump) for f in self._faults)
@@ -239,7 +280,7 @@ class SimCloud:
 
     def __init__(self, providers: Iterable[SimProvider]) -> None:
         self.providers: dict[str, SimProvider] = {}
-        self._packed: _Packed | None = None
+        self._pack: _Pack | None = None
         for p in providers:
             if p.provider_id in self.providers:
                 raise ValueError(f"duplicate provider id {p.provider_id!r}")
@@ -266,19 +307,17 @@ class SimCloud:
     def inject(self, fault: Fault) -> None:
         self.provider(fault.provider).inject(fault)
 
-    def clear(self, fault: Fault) -> None:
-        self.provider(fault.provider).clear(fault)
-
     def insider_dump(self, provider_id: str) -> list[DumpEntry]:
         return self.provider(provider_id).insider_dump()
 
     def save(self, directory: str | Path) -> None:
         """Snapshot the fleet to ``simcloud.pack`` in ``directory``.
 
-        When the pack there still has the clean length this cloud read or
-        last wrote, save appends and fsyncs one frame with the blobs stored
-        or replaced since then, or writes nothing if there are none. Faults
-        are never written. Otherwise, and when a compaction is due, it writes
+        When the pack there is still the file this cloud read or last
+        wrote, at the clean length it left, save appends and fsyncs one
+        frame with the blobs ``store_blob`` recorded since then, or writes
+        nothing if there are none. Faults are never written. Otherwise, and
+        when a compaction is due, it reads every body not yet read, writes
         the whole fleet as one frame under a temp name, fsyncs it, renames
         it over the old pack, removes a legacy JSON snapshot and fsyncs the
         directory, so a crash leaves the old snapshot or the new one.
@@ -309,28 +348,27 @@ class SimCloud:
         return json.dumps(header, sort_keys=True).encode("utf-8"), bodies
 
     def _append(self, pack: Path) -> bool:
-        """Append what changed since the pack was read or written; False
-        when the pack has to be rewritten instead. A fleet's providers and
-        their nodes are fixed when it is built, and no call removes a blob,
-        so the blobs stored or replaced are the whole change."""
-        old = self._packed
+        """Append what ``store_blob`` recorded since the pack was read or
+        written; False when the pack has to be rewritten instead. A fleet's
+        providers and their nodes are fixed when it is built, and no call
+        removes a blob, so the blobs stored are the whole change."""
+        old = self._pack
         if old is None or old.path != pack:
             return False
         try:
-            if os.stat(pack).st_size != old.length:
-                return False
+            st = os.stat(pack)
         except FileNotFoundError:
             return False
-        changed: dict[str, list] = {}
-        replaced = 0
-        for pid, p in self.providers.items():
-            held = old.blobs[pid]
-            new = sorted(item for item in p._blobs.items() if held.get(item[0]) is not item[1])
-            if new:
-                changed[pid] = new
-                replaced += sum(len(held[key]) for key, _ in new if key in held)
+        if (st.st_dev, st.st_ino) != old.identity or st.st_size != old.length:
+            return False
+        changed = {
+            pid: [(key, p._blobs[key]) for key in sorted(p._unsaved)]
+            for pid, p in self.providers.items()
+            if p._unsaved
+        }
         if not changed:
             return True
+        replaced = sum(sum(p._unsaved.values()) for p in self.providers.values())
         head, bodies = self._frame(changed)
         added = sum(map(len, bodies))
         if (
@@ -344,62 +382,66 @@ class SimCloud:
         old.later_heads += len(head)
         old.live += added - replaced
         old.dead += replaced
-        for pid, items in changed.items():
-            old.blobs[pid].update(items)
+        for p in self.providers.values():
+            p._unsaved.clear()
         return True
 
     def _rewrite(self, pack: Path) -> None:
-        pack.parent.mkdir(parents=True, exist_ok=True)
+        # Every body is read before the old pack is replaced.
         head, bodies = self._frame(
-            {pid: sorted(p._blobs.items()) for pid, p in self.providers.items()}
+            {
+                pid: [(key, p._body(*key)) for key in sorted(p._blobs)]
+                for pid, p in self.providers.items()
+            }
         )
+        pack.parent.mkdir(parents=True, exist_ok=True)
         tmp = pack.with_name(_PACK + ".tmp")
         with open(tmp, "wb") as f:
             fsync_file(f, _MAGIC + struct.pack(">I", len(head)) + head, *bodies)
+            st = os.fstat(f.fileno())
         os.replace(tmp, pack)
         (pack.parent / _LEGACY).unlink(missing_ok=True)
         fsync_dir(pack.parent)
         live = sum(map(len, bodies))
-        self._packed = self._track(pack, 8 + len(head) + live, [len(head)], live, 0)
-
-    def _track(self, pack: Path, length: int, heads: list[int], live: int, dead: int) -> _Packed:
-        return _Packed(
-            path=pack,
-            length=length,
-            first_head=heads[0],
-            later_heads=sum(heads[1:]),
-            live=live,
-            dead=dead,
-            blobs={pid: dict(p._blobs) for pid, p in self.providers.items()},
+        self._pack = _Pack(
+            pack, (st.st_dev, st.st_ino), 8 + len(head) + live, first_head=len(head), live=live
         )
+        for p in self.providers.values():
+            p._unsaved.clear()
 
     @classmethod
     def load(cls, directory: str | Path) -> "SimCloud":
         """The fleet ``save`` wrote, providers in id order and no fault
         active, read from the pack or else from a legacy ``simcloud.json``.
-        Blobs stay views into the one read of the pack. Raises
-        FileNotFoundError when there is neither and SnapshotCorrupt when the
-        one found is damaged; a torn last frame that is not the first is a
-        crash mid-append, and is skipped."""
+        Only the pack's frame headers are read here; each body is read when
+        first needed, and fails with SnapshotCorrupt if the pack is by then
+        another file or shorter. Raises FileNotFoundError when there is
+        neither and SnapshotCorrupt when the one found is damaged; a torn
+        last frame that is not the first is a crash mid-append, and is
+        skipped."""
         pack = Path(directory).absolute() / _PACK
         try:
-            raw = pack.read_bytes()
-            legacy = None
+            fd = os.open(pack, os.O_RDONLY)
         except FileNotFoundError:
+            fd = None
             legacy = (pack.parent / _LEGACY).read_bytes()
         try:
-            return cls._load_pack(raw, pack) if legacy is None else cls._load_legacy(legacy)
+            return cls._load_legacy(legacy) if fd is None else cls._load_pack(fd, pack)
         except (ValueError, KeyError, TypeError, AttributeError) as e:
             raise SnapshotCorrupt(f"unreadable snapshot: {e!r}") from None
+        finally:
+            if fd is not None:
+                os.close(fd)
 
     @classmethod
-    def _load_pack(cls, raw: bytes, pack: Path) -> "SimCloud":
-        view = memoryview(raw)
+    def _load_pack(cls, fd: int, pack: Path) -> "SimCloud":
+        st = os.fstat(fd)
+        tracked = _Pack(pack, (st.st_dev, st.st_ino), 0)
         fleet: dict[str, SimProvider] = {}
         heads: list[int] = []
         at = total = dead = 0
-        while at < len(view):
-            frame = _read_frame(view, at)
+        while at < st.st_size:
+            frame = _read_frame(fd, at, st.st_size)
             if frame is None:
                 if not heads:
                     raise SnapshotCorrupt("the first frame runs past the end of the snapshot")
@@ -413,13 +455,18 @@ class SimCloud:
                 blobs = fleet[pid]._blobs
                 for node, blob_id, size in pdata["blobs"]:
                     dead += len(blobs.get((node, blob_id), b""))
-                    blobs[node, blob_id] = view[body : body + size]
+                    blobs[node, blob_id] = _Unread(tracked, body, size)
                     body += size
             at = end
         if not heads:
             raise SnapshotCorrupt("not a provider snapshot")
+        tracked.length = at
+        tracked.first_head = heads[0]
+        tracked.later_heads = sum(heads[1:])
+        tracked.live = total - dead
+        tracked.dead = dead
         cloud = cls(fleet[pid] for pid in sorted(fleet))
-        cloud._packed = cloud._track(pack, at, heads, total - dead, dead)
+        cloud._pack = tracked
         return cloud
 
     @classmethod
@@ -434,21 +481,23 @@ class SimCloud:
         return cls(providers)
 
 
-def _read_frame(view: memoryview, at: int) -> tuple[dict, int, int] | None:
-    """The header, body start and end of the frame at ``at``, or None when
-    the bytes from ``at`` are a proper prefix of a frame."""
-    if view[at : at + 4] != _MAGIC[: len(view) - at]:
+def _read_frame(fd: int, at: int, length: int) -> tuple[dict, int, int] | None:
+    """The header, body start and end of the frame at ``at`` of the
+    ``length``-byte pack open as ``fd``, reading its header only, or None
+    when the bytes from ``at`` are a proper prefix of a frame."""
+    lead = os.pread(fd, 8, at)
+    if lead[:4] != _MAGIC[: len(lead)]:
         raise SnapshotCorrupt(f"no frame at offset {at} of the snapshot")
-    if len(view) - at < 8:
+    if len(lead) < 8:
         return None
-    body = at + 8 + struct.unpack_from(">I", view, at + 4)[0]
-    if body > len(view):
+    body = at + 8 + struct.unpack_from(">I", lead, 4)[0]
+    if body > length:
         return None
-    header = json.loads(bytes(view[at + 8 : body]))
+    header = json.loads(os.pread(fd, body - at - 8, at + 8))
     sizes = [size for p in header["providers"].values() for _, _, size in p["blobs"]]
-    if min(sizes, default=0) < 0:
-        raise SnapshotCorrupt(f"a negative blob size in the frame at offset {at}")
+    if not all(isinstance(size, int) and size >= 0 for size in sizes):
+        raise SnapshotCorrupt(f"a blob size that is not a count in the frame at offset {at}")
     end = body + sum(sizes)
-    if end > len(view):
+    if end > length:
         return None
     return header, body, end

@@ -1,5 +1,7 @@
 import gc
+import builtins
 import hashlib
+import io
 import json
 import os
 import random
@@ -143,9 +145,9 @@ def test_audit_pinpoints_corrupted_blob(tmp_path, capsys):
     cloud = simcloud.SimCloud.load(state)
     target = None
     for pid in sorted(cloud.providers):
-        for node, blob_id in sorted(cloud.providers[pid]._blobs):
-            if blob_id.startswith(kv["object_id"]) and ".c" in blob_id:
-                target = (pid, node, blob_id)
+        for e in cloud.insider_dump(pid):
+            if e.blob_id.startswith(kv["object_id"]) and ".c" in e.blob_id:
+                target = (pid, e.node, e.blob_id)
                 break
         if target:
             break
@@ -355,6 +357,169 @@ def test_get_on_a_truncated_snapshot_exits_one(tmp_path, capsys):
 
     assert main([*_paths(tmp_path), "get", "o"]) == 1
     assert _kv(capsys.readouterr().err)["error"] == "SnapshotCorrupt"
+
+
+class _PackReads:
+    """Counts the bytes read from one file by any route: ``open`` (which
+    ``Path.read_bytes`` takes) or ``os.open`` with ``os.read``/``os.pread``.
+    ``fds`` holds the descriptors opened on it and not yet closed."""
+
+    def __init__(self, monkeypatch, path):
+        self.bytes = 0
+        self.fds = set()
+        target = os.path.realpath(path)
+        real = {name: getattr(os, name) for name in ("open", "read", "pread", "close")}
+        real_open = io.open
+
+        def ours(file):
+            return isinstance(file, (str, os.PathLike)) and os.path.realpath(file) == target
+
+        def os_open(file, flags, *args, **kwargs):
+            fd = real["open"](file, flags, *args, **kwargs)
+            if ours(file):
+                self.fds.add(fd)
+            return fd
+
+        def counted(name):
+            def call(fd, *args):
+                data = real[name](fd, *args)
+                if fd in self.fds:
+                    self.bytes += len(data)
+                return data
+
+            return call
+
+        def os_close(fd):
+            self.fds.discard(fd)
+            real["close"](fd)
+
+        def io_open(file, mode="r", *args, **kwargs):
+            f = real_open(file, mode, *args, **kwargs)
+            return _CountedFile(f, self) if ours(file) and "r" in mode else f
+
+        monkeypatch.setattr(os, "open", os_open)
+        monkeypatch.setattr(os, "read", counted("read"))
+        monkeypatch.setattr(os, "pread", counted("pread"))
+        monkeypatch.setattr(os, "close", os_close)
+        monkeypatch.setattr(io, "open", io_open)
+        monkeypatch.setattr(builtins, "open", io_open)
+
+
+class _CountedFile:
+    def __init__(self, f, reads):
+        self._f, self._reads = f, reads
+
+    def read(self, *args):
+        data = self._f.read(*args)
+        self._reads.bytes += len(data)
+        return data
+
+    def readinto(self, buffer):
+        n = self._f.readinto(buffer)
+        self._reads.bytes += n or 0
+        return n
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._f.close()
+
+    def __getattr__(self, name):
+        return getattr(self._f, name)
+
+
+def _pack_headers(raw):
+    """The bytes of every frame's magic, header length and header."""
+    total, at = 0, 0
+    while at < len(raw):
+        head = struct.unpack(">I", raw[at + 4 : at + 8])[0]
+        header = json.loads(raw[at + 8 : at + 8 + head])
+        total += 8 + head
+        at += 8 + head + sum(b[2] for p in header["providers"].values() for b in p["blobs"])
+    return total
+
+
+def test_a_get_reads_the_pack_headers_and_its_own_blob_only(tmp_path, capsys, monkeypatch):
+    # 100 objects of 4 KiB: 25 secret, 75 plain.
+    for i in range(100):
+        src = tmp_path / f"{i}.in"
+        src.write_bytes(random.Random(i).randbytes(4096))
+        level = "secret" if i % 4 == 0 else "unclassified"
+        assert main([*_paths(tmp_path), "put", str(src), "--level", level,
+                     "--object-id", f"o{i}"]) == 0
+    assert _kv(capsys.readouterr().out.split("object_id=o99")[1])["pipeline"] == (
+        "PlainSingleCloud"
+    )
+    pack = tmp_path / "state" / "simcloud.pack"
+    raw = pack.read_bytes()
+    budget = _pack_headers(raw) + 4096  # a plain blob is the payload
+    assert len(raw) > 10 * budget
+
+    reads = _PackReads(monkeypatch, pack)
+    out = tmp_path / "o99.out"
+    assert main([*_paths(tmp_path), "get", "o99", "--out", str(out)]) == 0
+    assert out.read_bytes() == (tmp_path / "99.in").read_bytes()
+    assert 0 < reads.bytes <= budget
+    assert not reads.fds
+
+
+def _replace(pack):
+    copy = pack.with_name("copy")
+    copy.write_bytes(pack.read_bytes())
+    os.replace(copy, pack)
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [_replace, lambda pack: os.truncate(pack, pack.stat().st_size - 1), os.unlink],
+    ids=["replaced", "truncated", "removed"],
+)
+def test_a_pack_changed_under_a_get_fails_it_with_a_named_error(
+    tmp_path, capsys, monkeypatch, damage
+):
+    src = tmp_path / "p.bin"
+    src.write_bytes(random.Random(21).randbytes(400))
+    assert main([*_paths(tmp_path), "put", str(src), "--level", "unclassified",
+                 "--object-id", "o"]) == 0
+    real_load = simcloud.SimCloud.load
+
+    def load_then_damage(directory):
+        cloud = real_load(directory)
+        damage(Path(directory) / "simcloud.pack")
+        return cloud
+
+    monkeypatch.setattr(simcloud.SimCloud, "load", load_then_damage)
+    capsys.readouterr()
+    assert main([*_paths(tmp_path), "get", "o", "--out", str(tmp_path / "o.out")]) == 1
+    err = capsys.readouterr().err
+    assert _kv(err)["error"] == "ReconstructionFailed"
+    assert "simcloud.pack" in _kv(err)["message"] and "Traceback" not in err
+
+
+def test_a_damaged_length_in_the_last_keystore_frame_is_refused_not_cut(tmp_path, capsys):
+    # Cutting the last record as a torn append would forget the spent audit
+    # rounds it records, so the next audit would send a spent round again.
+    src = tmp_path / "p.bin"
+    src.write_bytes(random.Random(22).randbytes(600))
+    assert main([*_paths(tmp_path), "put", str(src), "--level", "secret",
+                 "--object-id", "o"]) == 0
+    for _ in range(2):
+        assert main([*_paths(tmp_path), "audit", "o"]) == 0
+    keystore = tmp_path / "keystore.cmf"
+    raw = bytearray(keystore.read_bytes())
+    last = at = 4
+    while at < len(raw):
+        last, at = at, at + 8 + struct.unpack_from("<I", raw, at)[0]
+    raw[last + 3] ^= 0x01  # the low bit of the length's high byte
+    keystore.write_bytes(bytes(raw))
+    capsys.readouterr()
+
+    for command in (["get", "o", "--out", str(tmp_path / "o.out")], ["audit", "o"]):
+        assert main([*_paths(tmp_path), *command]) == 1
+        err = capsys.readouterr().err
+        assert _kv(err)["error"] == "CorruptStore" and "Traceback" not in err
+        assert keystore.read_bytes() == raw
 
 
 def _whole_frames(raw, at):

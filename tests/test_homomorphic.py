@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cloudvault.homomorphic import (
     Ciphertext,
@@ -135,3 +136,37 @@ def test_byte_strings_round_trip_and_every_truncation_is_refused():
             decrypt_bytes(kp, blob[:cut], len(data))
     with pytest.raises(KeyMismatch):
         decrypt_bytes(keygen(64, random.Random(75)), blob, len(data))
+
+
+def _textbook_decrypt(keypair, c):
+    """L(c^lambda mod n^2) * mu mod n, with lambda = (p - 1)(q - 1) and
+    mu = lambda^-1 mod n: Paillier's decryption without CRT."""
+    n = keypair.public.n
+    lam = (keypair.p - 1) * (keypair.q - 1)
+    return (pow(c.value, lam, n * n) - 1) // n * pow(lam, -1, n) % n
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(bits=st.integers(16, 512), seed=st.integers(0, 2**32), data=st.data())
+def test_crt_decryption_equals_the_textbook_formula(bits, seed, data):
+    kp = keygen(bits, random.Random(seed))
+    n = kp.public.n
+    plain = st.integers(0, n - 1)
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    m1, m2, scalar = data.draw(plain), data.draw(plain), data.draw(plain)
+    c1, c2 = encrypt(kp.public, m1, rng), encrypt(kp.public, m2, rng)
+    for c, want in (
+        (c1, m1),
+        (c2, m2),
+        (he_add(c1, c2), (m1 + m2) % n),
+        (he_scale(c1, scalar), m1 * scalar % n),
+    ):
+        assert decrypt(kp, c) == _textbook_decrypt(kp, c) == want
+
+
+def test_a_ciphertext_sharing_a_factor_with_the_modulus_is_refused():
+    kp = keygen(64, random.Random(76))
+    nsq = kp.public.nsquare
+    for value in (0, kp.p, kp.q, kp.p * 12345 % nsq, kp.q * kp.q, kp.public.n):
+        with pytest.raises(ValueError, match="factor"):
+            decrypt(kp, Ciphertext(value=value, public=kp.public))

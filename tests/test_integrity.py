@@ -8,6 +8,7 @@ from cloudvault import field
 from cloudvault.integrity import (
     InvalidChallenge,
     InvalidShape,
+    KeyedStream,
     OutOfRange,
     challenge,
     column_token,
@@ -69,6 +70,50 @@ def test_challenge_derivation_matches_independent_walk():
         rnd = rng.randrange(50)
         length = rng.randrange(8, 200)
         count = rng.randrange(1, min(length, 32) + 1)
+        assert derive_challenge(key, rnd, length, count) == _oracle_rows_coeffs(
+            key, rnd, length, count
+        )
+
+
+class _WordAtATime:
+    """The documented stream read as the earlier release read it: one
+    4-byte take and one unpack per draw."""
+
+    def __init__(self, key, label):
+        self._key, self._label, self._counter, self._buf = key, label, 0, b""
+
+    def uniform(self, bound):
+        while len(self._buf) < 4:
+            self._buf += hashlib.blake2b(
+                self._label + struct.pack("<Q", self._counter), key=self._key, digest_size=32
+            ).digest()
+            self._counter += 1
+        (v,) = struct.unpack("<I", self._buf[:4])
+        self._buf = self._buf[4:]
+        limit = (1 << 32) - ((1 << 32) % bound)
+        return v % bound if v < limit else self.uniform(bound)
+
+
+def test_stream_draws_match_one_word_per_take():
+    # Bounds just above 2^31 and 3 * 2^30 reject about half and a quarter of
+    # the words, so draws cross block boundaries at every word position.
+    rng = random.Random(33)
+    bounds = [1, 2, 255, 1000, 2**31 + 1, 3 * 2**30 + 1, 2**32 - 1]
+    for _ in range(200):
+        key, label = rng.randbytes(32), rng.randbytes(rng.randrange(12))
+        stream, oracle = KeyedStream(key, label), _WordAtATime(key, label)
+        for _ in range(rng.randrange(1, 40)):
+            bound = rng.choice(bounds + [rng.randrange(1, 2**32)])
+            assert stream.uniform(bound) == oracle.uniform(bound)
+
+
+def test_many_challenge_derivations_match_the_independent_walk():
+    rng = random.Random(34)
+    for _ in range(1000):
+        key = rng.randbytes(rng.choice([16, 32, 100]))
+        length = rng.randrange(1, 5000)
+        count = rng.randrange(1, min(length, 64) + 1)
+        rnd = rng.randrange(1000)
         assert derive_challenge(key, rnd, length, count) == _oracle_rows_coeffs(
             key, rnd, length, count
         )

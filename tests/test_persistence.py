@@ -153,6 +153,26 @@ def test_a_damaged_length_before_whole_records_is_not_cut(tmp_path):
     assert path.read_bytes() == raw
 
 
+def test_a_damaged_length_in_the_last_record_is_not_cut(tmp_path):
+    # A last record whose length is wrong, while its body still checksums to
+    # the file's last four bytes, is whole: damage, not a torn append.
+    path = tmp_path / "m.cmf"
+    with ManifestStore(str(path)) as store:
+        for oid in "abc":
+            store.commit(_record(oid))
+    clean = path.read_bytes()
+    last = at = len(STORE_MAGIC)
+    while at < len(clean):
+        last, at = at, at + 8 + struct.unpack_from("<I", clean, at)[0]
+    for bit in range(32):
+        raw = bytearray(clean)
+        raw[last + bit // 8] ^= 1 << bit % 8
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CorruptStore):
+            ManifestStore(str(path))
+        assert path.read_bytes() == raw
+
+
 @pytest.mark.parametrize("damage", ["bad checksum", "frame without id"])
 def test_failed_open_releases_the_writer_lock(tmp_path, damage):
     path = tmp_path / "m.cmf"

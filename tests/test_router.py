@@ -143,14 +143,15 @@ def test_dispersed_tolerates_two_lost_providers(tmp_path):
     router = _router(tmp_path)
     payload = random.Random(3).randbytes(9000)
     router.put(_obj("o", payload, SecretLevel.SECRET, OperationClass.NO_OPERATIONS))
+    router.cloud.save(tmp_path / "state")
     pids = sorted(router.cloud.providers)
     for lost in itertools.combinations(pids, 2):
+        # A save holds no fault, so each loss starts from the whole fleet.
+        router.cloud = SimCloud.load(tmp_path / "state")
         for pid in lost:
             for node in router.cloud.provider(pid).nodes:
                 router.cloud.inject(NodeUnavailable(provider=pid, node=node))
         assert router.get("o") == payload
-        for pid in lost:
-            router.cloud.provider(pid).clear_all()
 
 
 def test_dispersed_fails_beyond_tolerance(tmp_path):
@@ -405,7 +406,7 @@ def test_local_only_round_trip(tmp_path):
     assert rec.pipeline == "LocalOnly"
     assert router.get("o") == b"eyes only"
     # Nothing reached any provider.
-    assert all(not p._blobs for p in router.cloud.providers.values())
+    assert all(not router.cloud.insider_dump(pid) for pid in router.cloud.providers)
 
 
 def test_plain_round_trip_stores_cleartext(tmp_path):
@@ -465,10 +466,10 @@ def test_table_dispersal_round_trip(tmp_path):
     assert rec.details["kind"] == "table"
     assert router.get("t") == rows
     # Identifier values appear in no stored group payload.
-    for p in router.cloud.providers.values():
-        for blob in p._blobs.values():
-            assert not scan_for_bytes(blob, b"ada")
-            assert not scan_for_bytes(blob, b"901")
+    for pid in router.cloud.providers:
+        for entry in router.cloud.insider_dump(pid):
+            assert not scan_for_bytes(entry.data, b"ada")
+            assert not scan_for_bytes(entry.data, b"901")
 
 
 def test_table_requires_id_columns(tmp_path):
@@ -518,7 +519,7 @@ def test_decision_is_pure_no_side_effects(tmp_path):
     assert isinstance(d1, RoutingDecision)
     assert d1 == d2
     assert not router.manifest.log.records()
-    assert all(not p._blobs for p in router.cloud.providers.values())
+    assert all(not router.cloud.insider_dump(pid) for pid in router.cloud.providers)
 
 
 def test_audit_of_a_plain_blob_checks_its_bytes(tmp_path):
@@ -606,23 +607,26 @@ def test_locations_list_every_stored_blob(tmp_path):
     assert router.locations(router.manifest.lookup("l")) == []
 
 
-def _flip_every_stored_byte(router, oid, payload):
+def _flip_every_stored_byte(router, oid, payload, state):
     """With one byte of one stored blob flipped, get returns the payload or
-    raises IntegrityViolation; every blob, offset and mask is tried."""
+    raises IntegrityViolation; every blob, offset and mask is tried, each on
+    the fleet reloaded from ``state``, which holds no fault."""
+    router.cloud.save(state)
     for loc in router.locations(router.manifest.lookup(oid)):
         holder = router.cloud.provider(loc["provider"])
         for offset in range(len(holder.fetch_blob(loc["node"], loc["blob_id"]))):
             for mask in (0x80, 0x01):
-                fault = CorruptBlob(
-                    provider=loc["provider"], node=loc["node"], blob_id=loc["blob_id"],
-                    offset=offset, mask=mask,
+                router.cloud = SimCloud.load(state)
+                router.cloud.inject(
+                    CorruptBlob(
+                        provider=loc["provider"], node=loc["node"], blob_id=loc["blob_id"],
+                        offset=offset, mask=mask,
+                    )
                 )
-                router.cloud.inject(fault)
                 try:
                     assert router.get(oid) == payload
                 except IntegrityViolation:
                     pass
-                router.cloud.clear(fault)
 
 
 def test_damaged_table_group_is_an_integrity_violation(tmp_path):
@@ -635,13 +639,31 @@ def test_damaged_table_group_is_an_integrity_violation(tmp_path):
         _obj("t", rows, SecretLevel.SECRET, OperationClass.NO_OPERATIONS,
              id_columns=("patient",))
     )
-    _flip_every_stored_byte(router, "t", rows)
+    _flip_every_stored_byte(router, "t", rows, tmp_path / "state")
 
 
 def test_damaged_homomorphic_blob_is_an_integrity_violation(tmp_path):
     router = _router(tmp_path, he_bits=64)
     router.put(_obj("h", b"abc", SecretLevel.SECRET, OperationClass.BASIC_OPERATIONS))
-    _flip_every_stored_byte(router, "h", b"abc")
+    _flip_every_stored_byte(router, "h", b"abc", tmp_path / "state")
+
+
+def test_a_ciphertext_sharing_a_factor_with_the_key_is_an_integrity_violation(tmp_path):
+    router = _router(tmp_path, he_bits=64)
+    rec = router.put(_obj("h", b"abc", SecretLevel.SECRET, OperationClass.BASIC_OPERATIONS))
+    p = int(router.keystore.get(rec.details["key_ref"])["p"], 16)
+    loc = rec.details["location"]
+    holder = router.cloud.provider(loc["provider"])
+    blob = holder.fetch_blob(loc["node"], loc["blob_id"])
+    # The first of three length-framed ciphertexts, swapped for a multiple of p.
+    first = 4 + int.from_bytes(blob[:4], "little")
+    wire = blob[4:first]
+    forged = wire[: 5 + wire[4]] + (p * 3).to_bytes(16, "big")  # magic, fingerprint, value
+    holder.store_blob(
+        loc["node"], loc["blob_id"], len(forged).to_bytes(4, "little") + forged + blob[first:]
+    )
+    with pytest.raises(IntegrityViolation, match="factor"):
+        router.get("h")
 
 
 def test_damaged_local_key_is_not_blamed_on_the_provider(tmp_path):

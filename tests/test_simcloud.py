@@ -56,7 +56,7 @@ def test_credential_checked():
     assert p.fetch_blob("n0", "b", credential="sesame") == b"x"
 
 
-def test_node_unavailable_blocks_only_that_node():
+def test_node_unavailable_blocks_only_that_node(tmp_path):
     cloud = SimCloud.build(_TOPOLOGY)
     p = cloud.provider("alpha")
     p.store_blob("n0", "b0", b"zero")
@@ -65,11 +65,11 @@ def test_node_unavailable_blocks_only_that_node():
     with pytest.raises(Unavailable):
         p.fetch_blob("n0", "b0")
     assert p.fetch_blob("n1", "b1") == b"one"
-    cloud.clear(NodeUnavailable(provider="alpha", node="n0"))
-    assert p.fetch_blob("n0", "b0") == b"zero"
+    cloud.save(tmp_path)  # the outage is not saved
+    assert SimCloud.load(tmp_path).provider("alpha").fetch_blob("n0", "b0") == b"zero"
 
 
-def test_corruption_is_a_fetch_time_overlay():
+def test_corruption_is_a_fetch_time_overlay(tmp_path):
     cloud = SimCloud.build(_TOPOLOGY)
     p = cloud.provider("alpha")
     p.store_blob("n0", "b", bytes(8))
@@ -78,8 +78,9 @@ def test_corruption_is_a_fetch_time_overlay():
     cloud.inject(fault)  # idempotent
     got = p.fetch_blob("n0", "b")
     assert got[3] == 0x55 and got[:3] == bytes(3)
-    cloud.clear(fault)
-    assert p.fetch_blob("n0", "b") == bytes(8)  # stored bytes were never touched
+    cloud.save(tmp_path)
+    # The stored bytes were never touched, and the overlay is not saved.
+    assert SimCloud.load(tmp_path).provider("alpha").fetch_blob("n0", "b") == bytes(8)
 
 
 def test_corrupt_blob_validation():
@@ -163,9 +164,10 @@ def test_duplicate_provider_ids_refused():
         SimCloud([SimProvider("a", {"n0": 0}), SimProvider("a", {"n0": 0})])
 
 
-def _sample_fleet(faults=True):
+def _sample_fleet(faults=True, more=()):
     """Unsorted provider ids, an empty blob, a non-ASCII blob id, a provider
-    with no blobs, and one fault of each kind unless ``faults`` is false."""
+    with no blobs, and one fault of each kind unless ``faults`` is false;
+    then each (provider, node, blob id, data) in ``more`` is stored."""
     cloud = SimCloud.build(
         {"gamma": {"n0": 0, "deep": 3}, "alpha": {"n0": 0, "n1": 1}, "beta": {"n0": 0}},
         credential="c",
@@ -179,11 +181,18 @@ def _sample_fleet(faults=True):
         cloud.inject(NodeUnavailable(provider="beta", node="n0"))
         cloud.inject(CorruptBlob("alpha", "n0", "b", offset=2, mask=0x0F))
         cloud.inject(InsiderDump(provider="gamma"))
+    for pid, node, blob_id, data in more:
+        cloud.provider(pid).store_blob(node, blob_id, data, credential="c")
     return cloud
 
 
+def _dump(provider):
+    """A provider's blobs as its insider reads them, overlays applied."""
+    return {(e.node, e.blob_id): e.data for e in provider.insider_dump()}
+
+
 def _fleet_state(cloud):
-    return [(pid, p.nodes, p.credential, dict(p._blobs)) for pid, p in cloud.providers.items()]
+    return [(pid, p.nodes, p.credential, _dump(p)) for pid, p in cloud.providers.items()]
 
 
 def test_save_load_round_trip(tmp_path):
@@ -193,7 +202,7 @@ def test_save_load_round_trip(tmp_path):
 
     back = SimCloud.load(tmp_path)
     assert list(back.providers) == ["alpha", "beta", "gamma"]
-    assert _fleet_state(back) == sorted(_fleet_state(cloud))
+    assert _fleet_state(back) == sorted(_fleet_state(_sample_fleet(faults=False)))
     assert back.provider("gamma").nodes == {"n0": 0, "deep": 3}
     assert back.provider("alpha").fetch_blob("n1", "empty", credential="c") == b""
     assert back.provider("alpha").fetch_blob("n0", "b", credential="c") == b"payload"
@@ -252,7 +261,7 @@ def test_legacy_json_snapshot_loads_and_is_replaced_by_the_pack(tmp_path):
     for pid, pdata in state["providers"].items():
         p = cloud.provider(pid)
         assert p.nodes == pdata["nodes"] and p.credential == pdata["credential"]
-        assert p._blobs == {
+        assert _dump(p) == {
             (b["node"], b["blob_id"]): base64.b64decode(b["data"]) for b in pdata["blobs"]
         }
 
@@ -289,14 +298,76 @@ def test_damaged_pack_raises_snapshot_corrupt(tmp_path):
             SimCloud.load(tmp_path)
 
 
+def _replace(pack):
+    copy = pack.with_name("copy")
+    copy.write_bytes(pack.read_bytes())
+    os.replace(copy, pack)
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [_replace, lambda pack: os.truncate(pack, pack.stat().st_size - 1), os.unlink],
+    ids=["replaced", "truncated", "removed"],
+)
+def test_a_body_is_read_only_from_the_pack_that_was_loaded(tmp_path, damage):
+    _sample_fleet().save(tmp_path)
+    pack = tmp_path / "simcloud.pack"
+    cloud = SimCloud.load(tmp_path)
+    alpha, gamma = cloud.provider("alpha"), cloud.provider("gamma")
+    assert alpha.fetch_blob("n0", "b", credential="c") == b"payload"
+    damage(pack)
+    files = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+
+    assert alpha.fetch_blob("n0", "b", credential="c") == b"payload"  # read before
+    with pytest.raises(SnapshotCorrupt):
+        gamma.fetch_blob("n0", "a", credential="c")
+    msg = integrity.serialize_challenge(integrity.ChallengeMessage(0, 0, (0,), (1,)))
+    with pytest.raises(SnapshotCorrupt):
+        gamma.respond_challenge("n0", "a", msg, credential="c")
+    with pytest.raises(SnapshotCorrupt):
+        cloud.insider_dump("gamma")
+    alpha.store_blob("n1", "new", b"n", credential="c")
+    with pytest.raises(SnapshotCorrupt):
+        cloud.save(tmp_path)  # a rewrite needs every body
+    assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == files
+
+
+def test_a_pack_grown_by_another_writer_still_serves_the_loaded_bodies(tmp_path):
+    _sample_fleet().save(tmp_path)
+    cloud = SimCloud.load(tmp_path)
+    other = SimCloud.load(tmp_path)
+    other.provider("gamma").store_blob("n0", "a", b"theirs", credential="c")
+    other.save(tmp_path)
+    assert cloud.provider("gamma").fetch_blob("n0", "a", credential="c") == b"\x00" * 40
+
+
+def test_a_rewrite_reads_every_body_then_tracks_the_file_it_wrote(tmp_path):
+    _sample_fleet().save(tmp_path / "first")
+    cloud = SimCloud.load(tmp_path / "first")
+    cloud.save(tmp_path / "second")
+    (tmp_path / "first" / "simcloud.pack").unlink()
+    want = sorted(_fleet_state(_sample_fleet(faults=False)))
+    assert _fleet_state(cloud) == want
+
+    second = tmp_path / "second" / "simcloud.pack"
+    before = second.read_bytes()
+    cloud.provider("alpha").store_blob("n1", "new", b"n", credential="c")
+    cloud.save(tmp_path / "second")  # an append to the file it wrote
+    after = second.read_bytes()
+    assert after[: len(before)] == before and len(_frames(after)) == 2
+    assert _fleet_state(SimCloud.load(tmp_path / "second")) == sorted(
+        _fleet_state(_sample_fleet(faults=False, more=[("alpha", "n1", "new", b"n")]))
+    )
+
+
 def test_interrupted_save_leaves_the_previous_snapshot(tmp_path, monkeypatch):
     before = _sample_fleet()
     before.save(tmp_path)
     (tmp_path / "unrelated.txt").write_text("keep")
     files = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
 
-    after = _sample_fleet()
-    after.provider("alpha").store_blob("n1", "new", b"x" * 500, credential="c")
+    new = [("alpha", "n1", "new", b"x" * 500)]
+    after = _sample_fleet(more=new)
 
     def fail_fsync(fd):
         raise OSError("disk gone")
@@ -310,11 +381,15 @@ def test_interrupted_save_leaves_the_previous_snapshot(tmp_path, monkeypatch):
     assert "simcloud.pack.tmp" in left
     del left["simcloud.pack.tmp"]
     assert left == files
-    assert _fleet_state(SimCloud.load(tmp_path)) == sorted(_fleet_state(before))
+    assert _fleet_state(SimCloud.load(tmp_path)) == sorted(
+        _fleet_state(_sample_fleet(faults=False))
+    )
 
     after.save(tmp_path)
     assert sorted(f.name for f in tmp_path.iterdir()) == ["simcloud.pack", "unrelated.txt"]
-    assert _fleet_state(SimCloud.load(tmp_path)) == sorted(_fleet_state(after))
+    assert _fleet_state(SimCloud.load(tmp_path)) == sorted(
+        _fleet_state(_sample_fleet(faults=False, more=new))
+    )
 
 
 def _frames(raw):
@@ -351,9 +426,9 @@ def test_a_save_appends_only_what_changed(tmp_path):
     cloud.save(tmp_path)  # nothing changed: nothing written
     assert pack.read_bytes() == before
 
-    gamma = cloud.provider("gamma")
-    gamma.store_blob("n0", "a", b"replaced", credential="c")
-    gamma.store_blob("n0", "z", b"new", credential="c")
+    stores = [("gamma", "n0", "a", b"replaced"), ("gamma", "n0", "z", b"new")]
+    for pid, node, blob_id, data in stores:
+        cloud.provider(pid).store_blob(node, blob_id, data, credential="c")
     cloud.save(tmp_path)
     after = pack.read_bytes()
     assert after[: len(before)] == before
@@ -362,9 +437,10 @@ def test_a_save_appends_only_what_changed(tmp_path):
     assert header["providers"]["gamma"]["blobs"] == [["n0", "a", 8], ["n0", "z", 3]]
     assert list(header) == ["providers"] and list(header["providers"]) == ["gamma"]
     assert after.endswith(b"replacednew")
-    assert _fleet_state(SimCloud.load(tmp_path)) == sorted(_fleet_state(cloud))
+    assert _fleet_state(SimCloud.load(tmp_path)) == sorted(
+        _fleet_state(_sample_fleet(faults=False, more=stores))
+    )
 
-    cloud.clear(NodeUnavailable(provider="beta", node="n0"))
     cloud.inject(CorruptBlob("gamma", "n0", "z", offset=0, mask=1))
     cloud.save(tmp_path)  # a fault alone writes nothing
     assert pack.read_bytes() == after
@@ -449,11 +525,14 @@ def test_a_pack_this_cloud_did_not_write_is_rewritten(tmp_path):
     other = SimCloud.load(tmp_path)
     other.provider("alpha").store_blob("n1", "theirs", b"t", credential="c")
     other.save(tmp_path)
+    mine = [("alpha", "n1", "mine", b"m")]
     cloud.provider("alpha").store_blob("n1", "mine", b"m", credential="c")
     cloud.save(tmp_path)  # the pack is longer than the one it wrote
     raw = (tmp_path / "simcloud.pack").read_bytes()
     assert len(_frames(raw)) == 1
-    assert _fleet_state(SimCloud.load(tmp_path)) == sorted(_fleet_state(cloud))
+    assert _fleet_state(SimCloud.load(tmp_path)) == sorted(
+        _fleet_state(_sample_fleet(faults=False, more=mine))
+    )
 
 
 def test_a_rewrite_fsyncs_the_directory_after_the_rename(tmp_path, monkeypatch):
@@ -489,7 +568,7 @@ def _cli_put(tmp_path, name, level, size):
 def _blob_sizes(tmp_path):
     cloud = SimCloud.load(tmp_path / "state")
     return {
-        (pid, key): len(data) for pid, p in cloud.providers.items() for key, data in p._blobs.items()
+        (pid, key): len(data) for pid, p in cloud.providers.items() for key, data in _dump(p).items()
     }
 
 
@@ -526,9 +605,7 @@ _KEYS = [(pid, node, b) for pid, nodes in _TOPOLOGY.items() for node in nodes fo
 
 def _blobs(cloud):
     return {
-        (pid, *key): bytes(data)
-        for pid, p in cloud.providers.items()
-        for key, data in p._blobs.items()
+        (pid, *key): data for pid, p in cloud.providers.items() for key, data in _dump(p).items()
     }
 
 
