@@ -454,8 +454,10 @@ class SimCloud:
                     fleet[pid] = SimProvider(pid, pdata["nodes"], credential=pdata["credential"])
                 blobs = fleet[pid]._blobs
                 for node, blob_id, size in pdata["blobs"]:
-                    dead += len(blobs.get((node, blob_id), b""))
-                    blobs[node, blob_id] = _Unread(tracked, body, size)
+                    key = node, blob_id
+                    if key in blobs:
+                        dead += len(blobs[key])
+                    blobs[key] = _Unread(tracked, body, size)
                     body += size
             at = end
         if not heads:
@@ -495,9 +497,10 @@ def _read_frame(fd: int, at: int, length: int) -> tuple[dict, int, int] | None:
         return None
     header = json.loads(os.pread(fd, body - at - 8, at + 8))
     sizes = [size for p in header["providers"].values() for _, _, size in p["blobs"]]
-    if not all(isinstance(size, int) and size >= 0 for size in sizes):
-        raise SnapshotCorrupt(f"a blob size that is not a count in the frame at offset {at}")
     end = body + sum(sizes)
+    # A size that is not a number fails the sum; a float one makes it a float.
+    if min(sizes, default=0) < 0 or not isinstance(end, int):
+        raise SnapshotCorrupt(f"a blob size that is not a count in the frame at offset {at}")
     if end > length:
         return None
     return header, body, end

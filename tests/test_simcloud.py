@@ -360,6 +360,17 @@ def test_a_rewrite_reads_every_body_then_tracks_the_file_it_wrote(tmp_path):
     )
 
 
+@pytest.mark.parametrize("size", [2.0, 1.5, -1, "2", None])
+def test_a_blob_size_that_is_not_a_count_is_refused_at_load(tmp_path, size):
+    # Bodies are read after the load, so the load alone checks the sizes.
+    header = {"providers": {"a": {"nodes": {"n0": 0}, "credential": "",
+                                  "blobs": [["n0", "b", size]]}}}
+    head = json.dumps(header, sort_keys=True).encode("utf-8")
+    (tmp_path / "simcloud.pack").write_bytes(b"CVS1" + struct.pack(">I", len(head)) + head + b"xy")
+    with pytest.raises(SnapshotCorrupt):
+        SimCloud.load(tmp_path)
+
+
 def test_interrupted_save_leaves_the_previous_snapshot(tmp_path, monkeypatch):
     before = _sample_fleet()
     before.save(tmp_path)
